@@ -97,120 +97,23 @@ let alpha_t =
                beta/(1+alpha(k-1)) under k concurrent transfers. 0 = the paper's \
                linear model.")
 
-let bb_t =
-  let pair_conv = Arg.(pair ~sep:',' float float) in
-  Arg.(value
-       & opt (some pair_conv) None
-       & info [ "burst-buffer" ] ~docv:"CAP_GB,BW_GBS"
-           ~doc:"Add a burst buffer: capacity (GB) and write bandwidth (GB/s), e.g. \
-                 250000,1000.")
-
-let bb_spec_of = function
-  | None -> None
-  | Some (capacity_gb, bandwidth_gbs) ->
-      Some { Cocheck_sim.Burst_buffer.capacity_gb; bandwidth_gbs }
-
-let multilevel_conv =
-  let parse s =
-    match String.split_on_char ',' s with
-    | [ p; c; r; f ] -> (
-        match
-          (float_of_string_opt p, float_of_string_opt c, float_of_string_opt r,
-           float_of_string_opt f)
-        with
-        | Some period_s, Some cost_s, Some recovery_s, Some soft_fraction ->
-            Ok
-              (Cocheck_sim.Config.local_level ~period_s ~cost_s ~recovery_s
-                 ~soft_fraction)
-        | _ -> Error (`Msg "expected four numbers: period,cost,recovery,soft_fraction"))
-    | _ -> Error (`Msg "expected PERIOD,COST,RECOVERY,SOFT (seconds,seconds,seconds,[0-1])")
-  in
-  let pp_level ppf = function
-    | Cocheck_sim.Config.Snapshot s ->
-        Format.fprintf ppf "snapshot:%g,%g,%g,%g" s.Cocheck_sim.Config.sl_period_s
-          s.sl_cost_s s.sl_recovery_s s.sl_survival
-    | Cocheck_sim.Config.Buffer b ->
-        Format.fprintf ppf "buffer:%g,%g%s,%g" b.Cocheck_sim.Config.bl_capacity_gb
-          b.bl_bandwidth_gbs
-          (match b.bl_flush_gbs with None -> "" | Some f -> Printf.sprintf ",%g" f)
-          b.bl_survival
-  in
-  let pp ppf (m : Cocheck_sim.Config.multilevel) =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ';')
-      pp_level ppf m.Cocheck_sim.Config.levels
-  in
-  Arg.conv (parse, pp)
-
-let multilevel_t =
-  Arg.(value
-       & opt (some multilevel_conv) None
-       & info [ "multilevel" ] ~docv:"P,C,R,SOFT"
-           ~doc:"Two-level checkpointing: local period (s), local snapshot cost (s),                  local recovery (s), soft-failure fraction. E.g. 600,5,10,0.6.")
-
-(* Buffer tiers of the checkpoint hierarchy: semicolon-separated levels,
-   shallow to deep, each CAP,BW[,FLUSH[,SURV]]. A FLUSH gives the level a
-   dedicated background-drain edge; omitting it serializes the drain into
-   the next level's pool (the classic burst-buffer behavior). *)
-let hierarchy_conv =
-  let parse_level s =
-    let parts = List.map float_of_string_opt (String.split_on_char ',' (String.trim s)) in
-    let buf cap bw flush surv =
-      Ok
-        (Cocheck_sim.Config.Buffer
-           {
-             Cocheck_sim.Config.bl_capacity_gb = cap;
-             bl_bandwidth_gbs = bw;
-             bl_flush_gbs = flush;
-             bl_survival = surv;
-           })
-    in
-    match parts with
-    | [ Some cap; Some bw ] -> buf cap bw None 1.0
-    | [ Some cap; Some bw; Some fl ] -> buf cap bw (Some fl) 1.0
-    | [ Some cap; Some bw; Some fl; Some sv ] -> buf cap bw (Some fl) sv
-    | _ -> Error (`Msg "each level is CAP_GB,BW_GBS[,FLUSH_GBS[,SURVIVAL]]")
-  in
-  let parse s =
-    let rec collect = function
-      | [] -> Ok []
-      | l :: rest -> (
-          match parse_level l with
-          | Error _ as e -> e
-          | Ok level -> (
-              match collect rest with
-              | Error _ as e -> e
-              | Ok levels -> Ok (level :: levels)))
-    in
-    match collect (String.split_on_char ';' s) with
-    | Error e -> Error e
-    | Ok [] -> Error (`Msg "expected at least one level")
-    | Ok levels -> Ok levels
-  in
-  let pp ppf levels =
-    Format.fprintf ppf "%d buffer level(s)" (List.length levels)
-  in
-  Arg.conv (parse, pp)
-
+(* The checkpoint hierarchy, shallow to deep; the syntax and its validation
+   live in Config so that parse and print stay inverse. *)
 let hierarchy_t =
+  let parse s = Result.map_error (fun e -> `Msg e) (Config.multilevel_of_string s) in
+  let pp ppf m = Format.pp_print_string ppf (Config.multilevel_to_string m) in
   Arg.(value
-       & opt (some hierarchy_conv) None
-       & info [ "hierarchy" ] ~docv:"CAP,BW[,FLUSH[,SURV]];..."
-           ~doc:"Checkpoint-hierarchy buffer tiers, shallow to deep: capacity (GB), \
-                 absorb bandwidth (GB/s), optional dedicated flush bandwidth (GB/s) \
-                 and survival fraction. E.g. 250000,1000,20 for a burst buffer that \
-                 drains to the PFS over a 20 GB/s edge. Composes with --multilevel \
-                 (snapshot tiers come first).")
-
-(* Snapshot tiers (--multilevel) and buffer tiers (--hierarchy) compose
-   into one level list, shallow to deep. *)
-let ml_of multilevel hierarchy =
-  match (multilevel, hierarchy) with
-  | None, None -> None
-  | Some m, None -> Some m
-  | None, Some bufs -> Some { Cocheck_sim.Config.levels = bufs }
-  | Some m, Some bufs ->
-      Some { Cocheck_sim.Config.levels = m.Cocheck_sim.Config.levels @ bufs }
+       & opt (some (conv (parse, pp))) None
+       & info [ "hierarchy" ] ~docv:"LEVEL;..."
+           ~doc:"Checkpoint hierarchy above the PFS, levels shallow to deep separated by \
+                 ';'. A snapshot level is snapshot:PERIOD,COST,RECOVERY,SURVIVAL \
+                 (seconds, seconds, seconds, [0-1]): node-local copies that survive \
+                 soft failures only. A buffer level is CAP,BW[,FLUSH[,SURVIVAL]]: \
+                 capacity (GB), absorb bandwidth (GB/s), optional dedicated flush \
+                 bandwidth (GB/s; without it drains run one at a time through the next \
+                 tier) and survival fraction (default 1). Snapshot levels come first. \
+                 E.g. 250000,1000 for a burst buffer, or \
+                 snapshot:600,5,30,0.5;250000,1000,20.")
 
 (* Observability outputs, shared by `run` and `observe`. *)
 
@@ -275,14 +178,13 @@ let run_cmd =
                    ordered-nb-fixed, ordered-nb-daly, least-waste, greedy-exposure, \
                    baseline.")
   in
-  let action strategy bandwidth mtbf_years seed days prospective failure_dist alpha bb
-      multilevel hierarchy trace_out series_out manifest_out sample_dt perfetto_out =
+  let action strategy bandwidth mtbf_years seed days prospective failure_dist alpha
+      multilevel trace_out series_out manifest_out sample_dt perfetto_out =
     let platform = platform_of ~prospective ~bandwidth ~mtbf_years in
     Format.printf "%a@." Platform.pp platform;
     let cfg s =
       Config.make ~platform ~strategy:s ~seed ~days ~failure_dist
-        ~interference_alpha:alpha ?burst_buffer:(bb_spec_of bb)
-        ?multilevel:(ml_of multilevel hierarchy) ()
+        ~interference_alpha:alpha ?multilevel ()
     in
     let timer = Obs.Timer.create () in
     let trace =
@@ -387,7 +289,7 @@ let run_cmd =
     Format.printf "checkpoints: %d committed, %d aborted@."
       r.ckpts_committed r.ckpts_aborted;
     if r.bb_absorbed > 0 || r.bb_spilled > 0 then
-      Format.printf "burst buffer: %d commits absorbed, %d spilled@." r.bb_absorbed
+      Format.printf "buffer levels: %d commits absorbed, %d spilled@." r.bb_absorbed
         r.bb_spilled;
     Format.printf "node-seconds in segment: progress %.4e, waste %.4e, enrolled %.4e@."
       r.progress_ns r.waste_ns r.enrolled_ns;
@@ -442,7 +344,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a single simulation and print its waste breakdown.")
     Term.(const action $ strategy_t $ bandwidth_t $ mtbf_years_t $ seed_t $ days_t
-          $ prospective_t $ failure_dist_t $ alpha_t $ bb_t $ multilevel_t $ hierarchy_t
+          $ prospective_t $ failure_dist_t $ alpha_t $ hierarchy_t
           $ trace_out_t $ series_out_t $ manifest_out_t $ sample_dt_t $ perfetto_out_t)
 
 (* ------------------------------------------------------------------ *)
@@ -678,13 +580,12 @@ let report_cmd =
           $ seed_t $ out_t $ domains_t)
 
 let observe_cmd =
-  let action strategy bandwidth mtbf_years seed days prospective failure_dist alpha bb
-      multilevel hierarchy sample_dt trace_out series_out manifest_out =
+  let action strategy bandwidth mtbf_years seed days prospective failure_dist alpha
+      multilevel sample_dt trace_out series_out manifest_out =
     let platform = platform_of ~prospective ~bandwidth ~mtbf_years in
     let cfg =
       Config.make ~platform ~strategy ~seed ~days ~failure_dist
-        ~interference_alpha:alpha ?burst_buffer:(bb_spec_of bb)
-        ?multilevel:(ml_of multilevel hierarchy) ()
+        ~interference_alpha:alpha ?multilevel ()
     in
     let timer = Obs.Timer.create () in
     let registry = Obs.Histogram.registry () in
@@ -728,7 +629,7 @@ let observe_cmd =
           $ bandwidth_t $ mtbf_years_t $ seed_t
           $ Arg.(value & opt float 10.0 & info [ "days" ] ~docv:"DAYS"
                    ~doc:"Segment length.")
-          $ prospective_t $ failure_dist_t $ alpha_t $ bb_t $ multilevel_t $ hierarchy_t
+          $ prospective_t $ failure_dist_t $ alpha_t $ hierarchy_t
           $ sample_dt_t $ trace_out_t $ series_out_t $ manifest_out_t)
 
 (* ------------------------------------------------------------------ *)
@@ -938,7 +839,7 @@ let campaign_run_cmd =
                  ui.perfetto.dev.")
   in
   let action spec_file name axis values bandwidth mtbf_years prospective strategies reps
-      seed days failure_dist alpha bb multilevel hierarchy store save_spec out domains
+      seed days failure_dist alpha multilevel store save_spec out domains
       progress trace_out =
     let spec =
       match spec_file with
@@ -955,8 +856,7 @@ let campaign_run_cmd =
           let strategies = Option.value strategies ~default:Strategy.paper_seven in
           try
             E.Spec.make ~name ~platform ~strategies ~axis ~reps ~seed ~days ?failure_dist
-              ?interference_alpha:alpha ?burst_buffer:(bb_spec_of bb)
-              ?multilevel:(ml_of multilevel hierarchy) ()
+              ?interference_alpha:alpha ?multilevel ()
           with Invalid_argument m ->
             Format.eprintf "error: invalid campaign: %s@." m;
             exit 1)
@@ -1018,7 +918,7 @@ let campaign_run_cmd =
              the results store when one is given.")
     Term.(const action $ spec_file_t $ name_t $ axis_t $ values_t $ bandwidth_t
           $ mtbf_years_t $ prospective_t $ strategies_t $ reps_t 100 $ seed_t $ days_t
-          $ failure_dist_opt_t $ alpha_opt_t $ bb_t $ multilevel_t $ hierarchy_t
+          $ failure_dist_opt_t $ alpha_opt_t $ hierarchy_t
           $ store_t $ save_spec_t $ out_t $ domains_t $ progress_out_t
           $ campaign_trace_out_t)
 

@@ -2,8 +2,8 @@
    in front of an under-provisioned parallel file system.
 
    Scenario: Cielo with only 40 GB/s of PFS bandwidth (the paper's scarce
-   regime) and a 5-year node MTBF. We add an NVRAM tier of 1 TB/s and sweep
-   its capacity. Checkpoints that fit commit at buffer speed and drain to
+   regime) and a 5-year node MTBF. We add an NVRAM tier of 1 TB/s (a single
+   buffer level of the checkpoint hierarchy) and sweep its capacity. Checkpoints that fit commit at buffer speed and drain to
    the PFS in the background; full buffers spill to the normal strategy
    path. The run reports, per configuration: waste ratio, how many commits
    the buffer absorbed vs spilled, and the breakdown of where waste goes. *)
@@ -13,7 +13,6 @@ module Strategy = Cocheck_core.Strategy
 module Config = Cocheck_sim.Config
 module Simulator = Cocheck_sim.Simulator
 module Metrics = Cocheck_sim.Metrics
-module Burst_buffer = Cocheck_sim.Burst_buffer
 module Table = Cocheck_util.Table
 module Units = Cocheck_util.Units
 
@@ -22,9 +21,9 @@ let () =
   Format.printf "Scenario: %a@." Platform.pp platform;
   Format.printf "Burst buffer: 1 TB/s write bandwidth, capacity swept below.@.@.";
   let strategy = Strategy.Least_waste in
-  let run burst_buffer =
+  let run multilevel =
     let cfg s =
-      Config.make ~platform ~strategy:s ~seed:11 ~days:15.0 ?burst_buffer ()
+      Config.make ~platform ~strategy:s ~seed:11 ~days:15.0 ?multilevel ()
     in
     let specs = Simulator.generate_specs (cfg Strategy.Baseline) in
     let baseline = Simulator.run ~specs (cfg Strategy.Baseline) in
@@ -38,11 +37,12 @@ let () =
   in
   List.iter
     (fun cap ->
-      let bb =
+      let buffer =
         if cap <= 0.0 then None
-        else Some { Burst_buffer.capacity_gb = cap; bandwidth_gbs = 1000.0 }
+        else
+          Some { Config.levels = [ Config.buffer ~capacity_gb:cap ~bandwidth_gbs:1000.0 () ] }
       in
-      let r, waste = run bb in
+      let r, waste = run buffer in
       Table.add_row table
         [
           (if cap <= 0.0 then "none" else Format.asprintf "%a" Units.pp_bytes cap);

@@ -6,7 +6,7 @@ module App_class = Cocheck_model.App_class
 module Apex = Cocheck_model.Apex
 module Platform = Cocheck_model.Platform
 module Failure_trace = Cocheck_sim.Failure_trace
-module Burst_buffer = Cocheck_sim.Burst_buffer
+module Config = Cocheck_sim.Config
 
 type row = { label : string; values : (string * float) list }
 type study = { title : string; rows : row list; table : Table.t }
@@ -44,10 +44,10 @@ let strategy_columns strategies = List.map Strategy.name strategies
    in strategy order — the declarative core every Monte Carlo study maps
    its rows through. *)
 let mc ~pool ~platform ~strategies ~reps ~seed ~days ?failure_dist
-    ?interference_alpha ?burst_buffer ?multilevel () =
+    ?interference_alpha ?multilevel () =
   let spec =
     Spec.make ~name:"ablation" ~platform ~strategies ~reps ~seed ~days ?failure_dist
-      ?interference_alpha ?burst_buffer ?multilevel ()
+      ?interference_alpha ?multilevel ()
   in
   List.map
     (fun (r : Runner.cell_result) ->
@@ -104,15 +104,20 @@ let burst_buffer ~pool ?(reps = 8) ?(seed = 42) ?(days = 20.0)
   let rows =
     List.map
       (fun cap ->
-        let burst_buffer =
+        let multilevel =
           if cap <= 0.0 then None
-          else Some { Burst_buffer.capacity_gb = cap; bandwidth_gbs = bb_bandwidth_gbs }
+          else
+            Some
+              {
+                Config.levels =
+                  [ Config.buffer ~capacity_gb:cap ~bandwidth_gbs:bb_bandwidth_gbs () ];
+              }
         in
         {
           label =
             (if cap <= 0.0 then "no buffer"
              else Format.asprintf "%a buffer" Units.pp_bytes cap);
-          values = mc ~pool ~platform ~strategies ~reps ~seed ~days ?burst_buffer ();
+          values = mc ~pool ~platform ~strategies ~reps ~seed ~days ?multilevel ();
         })
       capacities_gb
   in

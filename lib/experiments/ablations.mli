@@ -42,8 +42,9 @@ val burst_buffer :
   ?bb_bandwidth_gbs:float ->
   unit ->
   study
-(** The Section 8 extension: sweep burst-buffer capacity (0 = none) under a
-    scarce 40 GB/s PFS and report waste, absorption and spill counts for a
+(** The Section 8 extension: sweep the capacity of a single
+    {!Cocheck_sim.Config.buffer} level (0 = none) under a scarce 40 GB/s
+    PFS and report waste, absorption and spill counts for a
     blocking and a cooperative strategy. *)
 
 val period_scaling :

@@ -7,25 +7,24 @@ module Apex = Cocheck_model.Apex
 let default_mtbf_years = [ 5.0; 10.0; 15.0; 20.0; 25.0 ]
 
 (* Smallest bandwidth with f(β) <= 0, for f decreasing in β, by growing a
-   geometric bracket and bisecting in log space. *)
+   geometric bracket and bisecting in log space. Every probe is a Monte
+   Carlo campaign in the simulated search, so no β is evaluated twice. *)
 let log_bisect ~f ~lo0 ~hi0 ~iters =
-  let lo = ref lo0 and hi = ref hi0 in
-  while f !hi > 0.0 && !hi < 1e7 do
-    lo := !hi;
-    hi := !hi *. 2.0
-  done;
-  if f !hi > 0.0 then !hi
-  else begin
-    (* Make sure lo is genuinely infeasible to bracket the crossing. *)
-    if f !lo <= 0.0 then !lo
-    else begin
+  (* [lo] is [Some l] once l is known infeasible (f l > 0). *)
+  let rec grow lo hi =
+    let infeasible = f hi > 0.0 in
+    if infeasible && hi < 1e7 then grow (Some hi) (hi *. 2.0) else (lo, hi, infeasible)
+  in
+  match grow None hi0 with
+  | _, hi, true -> hi
+  | None, _, false when f lo0 <= 0.0 -> lo0
+  | lo, hi, false ->
+      let lo = ref (Option.value lo ~default:lo0) and hi = ref hi in
       for _ = 1 to iters do
         let mid = sqrt (!lo *. !hi) in
         if f mid <= 0.0 then hi := mid else lo := mid
       done;
       !hi
-    end
-  end
 
 let prospective_classes ?classes () =
   match classes with

@@ -10,6 +10,13 @@
 val default_mtbf_years : float list
 (** 5, 10, 15, 20, 25 years — the paper's x axis. *)
 
+val log_bisect : f:(float -> float) -> lo0:float -> hi0:float -> iters:int -> float
+(** The smallest β with [f β <= 0], for [f] decreasing in β: double [hi0]
+    until it is feasible (giving up at 1e7), then bisect [iters] times in
+    log space between the last infeasible bound and it. Returns [lo0] when
+    the bracket never grew and [lo0] is already feasible. Evaluates [f] at
+    most once per β. *)
+
 val min_bandwidth_theoretical :
   ?classes:Cocheck_model.App_class.t list ->
   node_mtbf_years:float ->

@@ -28,7 +28,6 @@ val measure :
   ?days:float ->
   ?failure_dist:Cocheck_sim.Failure_trace.distribution ->
   ?interference_alpha:float ->
-  ?burst_buffer:Cocheck_sim.Burst_buffer.spec ->
   ?multilevel:Cocheck_sim.Config.multilevel ->
   ?manifest_dir:string ->
   unit ->
@@ -52,7 +51,6 @@ val mean_waste :
   ?days:float ->
   ?failure_dist:Cocheck_sim.Failure_trace.distribution ->
   ?interference_alpha:float ->
-  ?burst_buffer:Cocheck_sim.Burst_buffer.spec ->
   ?multilevel:Cocheck_sim.Config.multilevel ->
   ?manifest_dir:string ->
   unit ->

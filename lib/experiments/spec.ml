@@ -5,7 +5,6 @@ module App_class = Cocheck_model.App_class
 module Strategy = Cocheck_core.Strategy
 module Config = Cocheck_sim.Config
 module Failure_trace = Cocheck_sim.Failure_trace
-module Burst_buffer = Cocheck_sim.Burst_buffer
 module Units = Cocheck_util.Units
 
 type axis =
@@ -26,7 +25,6 @@ type t = {
   days : float;
   failure_dist : Failure_trace.distribution option;
   interference_alpha : float option;
-  burst_buffer : Burst_buffer.spec option;
   multilevel : Config.multilevel option;
 }
 
@@ -59,7 +57,7 @@ let validate t =
 
 let make ?(name = "campaign") ~platform ?classes ~strategies ?(axis = No_sweep)
     ?(reps = 100) ?(seed = 42) ?(days = 60.0) ?failure_dist ?interference_alpha
-    ?burst_buffer ?multilevel () =
+    ?multilevel () =
   let t =
     {
       name;
@@ -72,7 +70,6 @@ let make ?(name = "campaign") ~platform ?classes ~strategies ?(axis = No_sweep)
       days;
       failure_dist;
       interference_alpha;
-      burst_buffer;
       multilevel;
     }
   in
@@ -126,8 +123,7 @@ let config t ~cell ~strategy ~rep =
   in
   Config.make ~platform:cell.platform ?classes:t.classes ~strategy
     ~seed:(rep_seed ~seed:t.seed ~rep) ~days:t.days ?failure_dist:t.failure_dist
-    ?interference_alpha:t.interference_alpha ?burst_buffer:t.burst_buffer
-    ?multilevel ()
+    ?interference_alpha:t.interference_alpha ?multilevel ()
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                        *)
@@ -246,7 +242,6 @@ let to_json t =
     @ optional "failure_dist" (Option.map Manifest.failure_dist_to_json t.failure_dist)
     @ optional "interference_alpha"
         (Option.map (fun a -> Json.Float a) t.interference_alpha)
-    @ optional "burst_buffer" (Option.map Manifest.burst_buffer_to_json t.burst_buffer)
     @ optional "multilevel" (Option.map Manifest.multilevel_to_json t.multilevel))
 
 let field name conv j =
@@ -302,8 +297,7 @@ let of_json j =
         | None -> Error "spec: bad interference_alpha")
       j
   in
-  let* burst_buffer = optional_member "burst_buffer" Manifest.burst_buffer_of_json j in
-  let* multilevel = optional_member "multilevel" Manifest.multilevel_of_json j in
+  let* multilevel = Manifest.multilevel_member_of_json j in
   let t =
     {
       name;
@@ -316,7 +310,6 @@ let of_json j =
       days;
       failure_dist;
       interference_alpha;
-      burst_buffer;
       multilevel;
     }
   in

@@ -33,7 +33,6 @@ type t = {
   days : float;  (** measurement-segment length per run *)
   failure_dist : Cocheck_sim.Failure_trace.distribution option;
   interference_alpha : float option;
-  burst_buffer : Cocheck_sim.Burst_buffer.spec option;
   multilevel : Cocheck_sim.Config.multilevel option;
 }
 
@@ -48,7 +47,6 @@ val make :
   ?days:float ->
   ?failure_dist:Cocheck_sim.Failure_trace.distribution ->
   ?interference_alpha:float ->
-  ?burst_buffer:Cocheck_sim.Burst_buffer.spec ->
   ?multilevel:Cocheck_sim.Config.multilevel ->
   unit ->
   t

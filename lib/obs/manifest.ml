@@ -2,7 +2,6 @@ module Config = Cocheck_sim.Config
 module Simulator = Cocheck_sim.Simulator
 module Metrics = Cocheck_sim.Metrics
 module Failure_trace = Cocheck_sim.Failure_trace
-module Burst_buffer = Cocheck_sim.Burst_buffer
 module Strategy = Cocheck_core.Strategy
 module Platform = Cocheck_model.Platform
 module App_class = Cocheck_model.App_class
@@ -46,13 +45,6 @@ let failure_dist_to_json (d : Failure_trace.distribution) =
       Json.Obj [ ("law", Json.String "weibull"); ("shape", Json.Float shape) ]
   | Failure_trace.Lognormal { sigma } ->
       Json.Obj [ ("law", Json.String "lognormal"); ("sigma", Json.Float sigma) ]
-
-let burst_buffer_to_json (bb : Burst_buffer.spec) =
-  Json.Obj
-    [
-      ("capacity_gb", Json.Float bb.Burst_buffer.capacity_gb);
-      ("bandwidth_gbs", Json.Float bb.bandwidth_gbs);
-    ]
 
 let level_to_json (l : Config.level) =
   match l with
@@ -108,7 +100,6 @@ let config_to_json (cfg : Config.t) =
        ("failure_dist", failure_dist_to_json cfg.failure_dist);
        ("interference_alpha", Json.Float cfg.interference_alpha);
      ]
-    @ optional "burst_buffer" (Option.map burst_buffer_to_json cfg.burst_buffer)
     @ optional "multilevel" (Option.map multilevel_to_json cfg.multilevel))
 
 (* ------------------------------------------------------------------ *)
@@ -183,11 +174,6 @@ let optional_member name conv j =
       let* v = conv sub in
       Ok (Some v)
 
-let burst_buffer_of_json bb =
-  let* capacity_gb = f_float "capacity_gb" bb in
-  let* bandwidth_gbs = f_float "bandwidth_gbs" bb in
-  Ok { Burst_buffer.capacity_gb; bandwidth_gbs }
-
 let level_of_json l =
   let* kind = f_string "kind" l in
   match kind with
@@ -221,6 +207,26 @@ let multilevel_of_json m =
         (Config.local_level ~period_s:local_period_s ~cost_s:local_cost_s
            ~recovery_s:local_recovery_s ~soft_fraction)
 
+(* Documents written before the burst buffer became a hierarchy level may
+   carry a ["burst_buffer"] object beside ["multilevel"]: it decodes as one
+   more buffer level (serialized drains, always survives) after the
+   snapshot levels. Encoders never write it. *)
+let multilevel_member_of_json j =
+  let legacy_level bb =
+    let* capacity_gb = f_float "capacity_gb" bb in
+    let* bandwidth_gbs = f_float "bandwidth_gbs" bb in
+    Ok (Config.buffer ~capacity_gb ~bandwidth_gbs ())
+  in
+  let* multilevel = optional_member "multilevel" multilevel_of_json j in
+  let* legacy = optional_member "burst_buffer" legacy_level j in
+  match (legacy, multilevel) with
+  | None, m -> Ok m
+  | Some b, None -> Ok (Some { Config.levels = [ b ] })
+  | Some b, Some m ->
+      if List.exists (function Config.Buffer _ -> true | Config.Snapshot _ -> false) m.Config.levels
+      then Error "manifest: burst_buffer and buffer levels are exclusive"
+      else Ok (Some { Config.levels = m.Config.levels @ [ b ] })
+
 let config_of_json j =
   let* platform = field "platform" (fun p -> Some p) j in
   let* platform = platform_of_json platform in
@@ -240,8 +246,7 @@ let config_of_json j =
   let* dist = field "failure_dist" (fun d -> Some d) j in
   let* failure_dist = failure_dist_of_json dist in
   let* interference_alpha = f_float "interference_alpha" j in
-  let* burst_buffer = optional_member "burst_buffer" burst_buffer_of_json j in
-  let* multilevel = optional_member "multilevel" multilevel_of_json j in
+  let* multilevel = multilevel_member_of_json j in
   Ok
     {
       Config.platform;
@@ -256,7 +261,6 @@ let config_of_json j =
       with_failures;
       failure_dist;
       interference_alpha;
-      burst_buffer;
       multilevel;
     }
 

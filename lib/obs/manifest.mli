@@ -32,10 +32,17 @@ val failure_dist_to_json : Cocheck_sim.Failure_trace.distribution -> Json.t
 val failure_dist_of_json :
   Json.t -> (Cocheck_sim.Failure_trace.distribution, string) result
 
-val burst_buffer_to_json : Cocheck_sim.Burst_buffer.spec -> Json.t
-val burst_buffer_of_json : Json.t -> (Cocheck_sim.Burst_buffer.spec, string) result
 val multilevel_to_json : Cocheck_sim.Config.multilevel -> Json.t
 val multilevel_of_json : Json.t -> (Cocheck_sim.Config.multilevel, string) result
+
+val multilevel_member_of_json :
+  Json.t -> (Cocheck_sim.Config.multilevel option, string) result
+(** The hierarchy of a config, spec or request object: its optional
+    ["multilevel"] member, plus a legacy ["burst_buffer"]
+    [{capacity_gb, bandwidth_gbs}] object (which no encoder writes any
+    more) read as one extra buffer level — serialized drains, survival 1 —
+    after the snapshot levels. A legacy object beside buffer levels is an
+    error. *)
 
 val result_to_json : Cocheck_sim.Simulator.result -> Json.t
 

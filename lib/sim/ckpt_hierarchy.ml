@@ -5,9 +5,9 @@ module Io = Io_subsystem
    when the absorb write commits, [Flushing] while a background drain moves
    it one tier deeper, and [Gone] once it reaches the PFS (recorded in
    [pfs_notes]), is destroyed by a failure, or its write is aborted.
-   Capacity accounting mirrors {!Burst_buffer}: the source tier is reserved
-   from write start to flush completion, the destination tier from flush
-   start (so concurrent flushes cannot oversubscribe it). *)
+   Capacity: the source tier is reserved from write start to flush
+   completion, the destination tier from flush start (so concurrent
+   flushes cannot oversubscribe it). *)
 type copy_state = Writing | Resident | Flushing | Gone
 
 type copy = {
@@ -82,8 +82,6 @@ let level_fits lv ~volume_gb =
 let fits t ~volume_gb =
   Array.exists (fun lv -> level_fits lv ~volume_gb) t.levels
 
-let owns_pool t io = Array.exists (fun lv -> lv.pool == io) t.levels
-
 let level_of_pool t io =
   let rec go k =
     if k >= Array.length t.levels then None
@@ -121,7 +119,7 @@ let note_pfs_commit t ~owner ~inst ~content ~at =
 (* Where a flush out of level [k] travels: its dedicated edge when
    configured; otherwise it contends inside the destination tier's own
    subsystem (the next buffer level, or the PFS below the deepest) — the
-   legacy burst-buffer discipline. *)
+   classic burst-buffer discipline. *)
 let flush_pool t ~k =
   let lv = t.levels.(k) in
   match lv.edge with
@@ -343,7 +341,9 @@ let surviving_content t ~owner ~inst =
     (fun acc c -> if c.c_inst = inst then Float.max acc c.c_content else acc)
     from_pfs (live_copies t ~owner)
 
-let read t ~owner:_ ~job ~nodes ~volume_gb ~level ~on_complete =
+let read t ~owner ~job ~nodes ~volume_gb ~level ~on_complete =
+  if not (List.exists (fun c -> c.c_level = level) (live_copies t ~owner)) then
+    invalid_arg "Ckpt_hierarchy.read: no live copy at this level";
   let lv = t.levels.(level) in
   (lv.pool, Io.start_flow lv.pool ~job ~nodes ~kind:Io.Recovery ~volume_gb ~on_complete)
 

@@ -1,5 +1,8 @@
-(** An L-level checkpoint storage hierarchy (VELOC-style), generalizing
-    {!Burst_buffer} to any chain of buffer tiers above the PFS.
+(** An L-level checkpoint storage hierarchy (VELOC-style): any chain of
+    buffer tiers above the PFS. A single level with [bl_flush_gbs = None]
+    is the classic burst buffer of the paper's Section 8 extension; this
+    module is the simulator's only checkpoint-storage path besides the
+    strategy's direct PFS commits.
 
     Each {!Config.buffer_level} owns an absorb {!Io_subsystem} (jobs write
     and recover at [bl_bandwidth_gbs], linear sharing) of limited capacity.
@@ -8,8 +11,7 @@
     {- [bl_flush_gbs = None] — serialized drains, one per level at a time,
        as {!Io_subsystem.Drain} flows {e inside the destination tier's}
        subsystem (the PFS below the deepest level), contending with its
-       foreground traffic. With a single level this reproduces
-       {!Burst_buffer} event-for-event — the differential oracle.}
+       foreground traffic.}
     {- [bl_flush_gbs = Some b] — the level gets a dedicated [b] GB/s flush
        edge; every queued copy with room downstream flushes immediately,
        concurrent flushes contending as ordinary weighted flows.}}
@@ -19,9 +21,11 @@
     never exceed the tier capacity (property-tested). Failures destroy the
     owner's copies at every level whose [bl_survival] the failure's
     uniform draw exceeds; recovery reads from the level holding the newest
-    surviving copy, the PFS when it holds something newer still. Writes
-    that fit nowhere count as spills here (the caller falls back to the
-    strategy's PFS path). *)
+    surviving copy, the PFS when it holds something newer still (a
+    buffered copy that a later checkpoint overtook on its way to the PFS
+    is never read back instead of that newer copy). Writes that fit
+    nowhere count as spills here (the caller falls back to the strategy's
+    PFS path). *)
 
 type t
 
@@ -57,7 +61,8 @@ val write :
 
 val abort_write : t -> pool:Io_subsystem.t -> Io_subsystem.flow -> unit
 (** Cancel an in-flight write (job killed): transfer stops, reservation
-    released, nothing becomes resident. No-op on unknown flows. *)
+    released, nothing becomes resident. No-op on unknown flows and on
+    pools that are not one of the hierarchy's levels. *)
 
 val apply_failure : t -> owner:int -> u:float -> unit
 (** Destroy the owner's live copies at every level with
@@ -94,11 +99,8 @@ val read :
   on_complete:(unit -> unit) ->
   Io_subsystem.t * Io_subsystem.flow
 (** Recovery read at [level]'s absorb speed ([level] from
-    {!recovery_source}). *)
-
-val owns_pool : t -> Io_subsystem.t -> bool
-(** Whether this subsystem is one of the hierarchy's absorb pools (used to
-    route flow aborts). *)
+    {!recovery_source}). Raises [Invalid_argument] when the owner has no
+    live copy at [level]. *)
 
 val iter_pools : t -> (Io_subsystem.t -> unit) -> unit
 (** Visit every absorb pool and flush edge (ledger syncs, probes). *)

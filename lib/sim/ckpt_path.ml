@@ -36,12 +36,7 @@ and on_ckpt_request w inst =
            speed, bypassing the strategy's PFS arbitration entirely; a full
            tier counts the spill itself and the commit falls back to the
            strategy's PFS path below. *)
-        let absorbed =
-          match (w.bb, w.hier) with
-          | Some bb, _ -> try_bb_ckpt w bb inst
-          | None, Some h -> try_hier_ckpt w h inst
-          | None, None -> false
-        in
+        let absorbed = match w.hier with Some h -> try_hier_ckpt w h inst | None -> false in
         if not absorbed then begin
           if not w.uses_token then begin
             (* Oblivious: the transfer starts at once, wait is zero. *)
@@ -96,20 +91,6 @@ and start_ckpt_flow w inst =
   in
   inst.activity <- Doing_io (w.io, flow, Io.Ckpt)
 
-and try_bb_ckpt w bb inst =
-  match
-    Burst_buffer.write bb ~owner:inst.spec.Jobgen.id ~job:inst.idx
-      ~nodes:inst.spec.Jobgen.nodes ~volume_gb:inst.spec.Jobgen.ckpt_gb
-      ~on_complete:(ckpt_complete w inst)
-  with
-  | None -> false
-  | Some flow ->
-      pause_compute w inst;
-      emit_inst w inst Trace.Ckpt_started;
-      inst.ckpt_content <- inst.work_done;
-      inst.activity <- Doing_io (Burst_buffer.io bb, flow, Io.Ckpt);
-      true
-
 and try_hier_ckpt w h inst =
   let content = capture_content w inst in
   match
@@ -139,14 +120,11 @@ and on_ckpt_done w inst =
   (* Commits through the strategy's PFS path are durable below the
      hierarchy; record them so recovery weighs the PFS copy against
      shallower (possibly older) hierarchy copies. *)
-  (match w.hier with
-  | Some h -> (
-      match inst.activity with
-      | Doing_io (sub, _, _) when sub == w.io ->
-          Ckpt_hierarchy.note_pfs_commit h ~owner:inst.spec.Jobgen.id ~inst:inst.idx
-            ~content:inst.ckpt_content ~at:(now w)
-      | _ -> ())
-  | None -> ());
+  (match (w.hier, inst.activity) with
+  | Some h, Doing_io (sub, _, _) when sub == w.io ->
+      Ckpt_hierarchy.note_pfs_commit h ~owner:inst.spec.Jobgen.id ~inst:inst.idx
+        ~content:inst.ckpt_content ~at:(now w)
+  | _ -> ());
   flush_uncommitted w inst Metrics.Work;
   if inst.has_ckpt then
     Stats.running_add

@@ -1,6 +1,7 @@
 (** The checkpoint path: periodic request scheduling, the request →
-    commit/abort state machine (Section 3's blocking, non-blocking and
-    burst-buffer variants), and the two-level node-local snapshot cycle.
+    commit/abort state machine (Section 3's blocking and non-blocking
+    variants, plus commits absorbed by a {!Ckpt_hierarchy} buffer tier),
+    and the node-local snapshot cycle.
 
     The strategy's discipline enters only through
     {!Cocheck_core.Strategy.uses_token} / {!Cocheck_core.Strategy.is_blocking}

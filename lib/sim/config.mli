@@ -17,23 +17,19 @@ type t = {
       (** 0 gives the paper's linear interference; larger values erode the
           aggregate bandwidth under contention (footnote 2's adversarial
           model), see {!Io_subsystem} *)
-  burst_buffer : Burst_buffer.spec option;
-      (** when set, checkpoints that fit commit to a burst buffer and drain
-          to the PFS in the background (the Section 8 extension) *)
   multilevel : multilevel option;
       (** when set, jobs checkpoint through an L-level hierarchy
           ({!Ckpt_hierarchy}): cheap node-local snapshot levels that
           survive only {e soft} failures (SCR/FTI-style, references
           [9][15]) and/or buffer levels whose copies flush toward the PFS
-          in the background (VELOC-style); see {!Cocheck_core.Multilevel}
-          for the analytic model *)
+          in the background (VELOC-style burst buffers, the paper's
+          Section 8 extension); see {!Cocheck_core.Multilevel} for the
+          analytic model *)
 }
 
 and multilevel = { levels : level list }
 (** Levels shallow → deep; the PFS is the implicit deepest level and is
-    not listed. {!Snapshot} levels must precede {!Buffer} levels, and
-    [buffer_level]s are exclusive with the legacy [burst_buffer] field
-    (which they generalize). *)
+    not listed. {!Snapshot} levels must precede {!Buffer} levels. *)
 
 and level = Snapshot of snapshot_level | Buffer of buffer_level
 
@@ -52,7 +48,7 @@ and buffer_level = {
   bl_flush_gbs : float option;
       (** background flush edge toward the next tier: [None] serializes
           drains one at a time through the next tier's I/O subsystem (the
-          legacy burst-buffer behavior, kept as the differential oracle);
+          classic burst buffer);
           [Some b] gives the edge its own [b] GB/s virtual-time scheduler
           where concurrent flushes contend as ordinary weighted flows *)
   bl_survival : float;  (** probability a failure leaves this tier intact *)
@@ -68,7 +64,6 @@ val make :
   ?with_failures:bool ->
   ?failure_dist:Failure_trace.distribution ->
   ?interference_alpha:float ->
-  ?burst_buffer:Burst_buffer.spec ->
   ?multilevel:multilevel ->
   unit ->
   t
@@ -87,6 +82,31 @@ val local_level :
   multilevel
 (** The legacy two-level configuration: one node-local {!Snapshot} level
     above the PFS ([sl_survival = soft_fraction]). *)
+
+val buffer :
+  ?flush_gbs:float ->
+  ?survival:float ->
+  capacity_gb:float ->
+  bandwidth_gbs:float ->
+  unit ->
+  level
+(** A {!Buffer} level. The defaults — serialized drains
+    ([bl_flush_gbs = None]) and survival 1 — make it the classic burst
+    buffer in front of the PFS. *)
+
+val multilevel_of_string : string -> (multilevel, string) result
+(** The compact command-line syntax ([simctl --hierarchy]): levels shallow
+    → deep separated by [';'], each either a snapshot level
+    ["snapshot:PERIOD_S,COST_S,RECOVERY_S,SURVIVAL"] or an untagged buffer
+    level ["CAP_GB,BW_GBS[,FLUSH_GBS[,SURVIVAL]]"] (survival defaults to 1;
+    an omitted or empty FLUSH_GBS keeps serialized drains, see {!buffer}).
+    The list is validated as {!validate} would; [Error] carries the
+    message. *)
+
+val multilevel_to_string : multilevel -> string
+(** Inverse of {!multilevel_of_string}:
+    [multilevel_of_string (multilevel_to_string m) = Ok m] for every valid
+    [m], floats included. *)
 
 val baseline_of : t -> t
 (** The same scenario under the Baseline strategy (no failures, no

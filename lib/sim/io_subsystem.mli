@@ -42,9 +42,10 @@ type sharing = [ `Linear | `Degraded of float | `Unshared ]
 type io_kind = Input | Output | Ckpt | Recovery | Drain
 
 val io_kind_name : io_kind -> string
-(** [Drain] marks background burst-buffer drains: they consume PFS
-    bandwidth (and so interfere) but occupy no compute nodes, hence record
-    no node-seconds. *)
+(** [Drain] marks the background flushes that move a {!Ckpt_hierarchy}
+    buffer level's copies one tier deeper: they consume the bandwidth of
+    the subsystem they run in (and so interfere with its foreground
+    traffic) but occupy no compute nodes, hence record no node-seconds. *)
 
 type t
 type flow
@@ -99,7 +100,7 @@ val flow_kind : t -> flow -> io_kind
 val flow_id : flow -> int
 (** The handle as an integer key: unique among live flows and never reused
     for a slot's next tenant (the generation tag differs). Stable key for
-    external per-flow tables (e.g. the burst buffer's in-flight index). *)
+    external per-flow tables (e.g. {!Ckpt_hierarchy}'s in-flight write index). *)
 
 val sync : t -> unit
 (** Force pending ledger entries out to {!Metrics} for every live flow, up

@@ -86,7 +86,6 @@ let snapshot_of w =
   (* Ledger entries settle lazily in the flow scheduler; flush both
      subsystems so the probe reads current totals. *)
   Io.sync w.io;
-  (match w.bb with Some bb -> Io.sync (Burst_buffer.io bb) | None -> ());
   (match w.hier with Some h -> Ckpt_hierarchy.iter_pools h Io.sync | None -> ());
   let computing = ref 0 and in_io = ref 0 and waiting = ref 0 in
   Hashtbl.iter
@@ -200,27 +199,17 @@ let run ?specs ?trace ?hooks ?sample ?on_engine (cfg : Config.t) =
   in
   (* Split the multilevel spec into its two storage kinds: snapshot levels
      drive the local-tick machinery, buffer levels build the checkpoint
-     storage hierarchy (like the burst buffer, inert under Baseline). *)
+     storage hierarchy (inert under Baseline). *)
+  let levels = match cfg.multilevel with Some m -> m.Config.levels | None -> [] in
   let snap =
-    match cfg.multilevel with
-    | None -> [||]
-    | Some m ->
-        Array.of_list
-          (List.filter_map
-             (function Config.Snapshot s -> Some s | Config.Buffer _ -> None)
-             m.Config.levels)
+    Array.of_list
+      (List.filter_map (function Config.Snapshot s -> Some s | Config.Buffer _ -> None) levels)
   in
   let hier =
-    match (cfg.strategy, cfg.multilevel) with
-    | Strategy.Baseline, _ | _, None -> None
-    | _, Some m -> (
-        match
-          List.filter_map
-            (function Config.Buffer b -> Some b | Config.Snapshot _ -> None)
-            m.Config.levels
-        with
-        | [] -> None
-        | bufs -> Some (Ckpt_hierarchy.create ~engine ~metrics ~pfs:io bufs))
+    match List.filter_map (function Config.Buffer b -> Some b | Config.Snapshot _ -> None) levels with
+    | [] -> None
+    | _ when cfg.strategy = Strategy.Baseline -> None
+    | bufs -> Some (Ckpt_hierarchy.create ~engine ~metrics ~pfs:io bufs)
   in
   (* Created before the [w] literal so the arbiter (built inside it) and
      the submit/grant driver recycle through the same stack. *)
@@ -265,13 +254,6 @@ let run ?specs ?trace ?hooks ?sample ?on_engine (cfg : Config.t) =
       trace;
       hooks;
       soft_rng = Rng.substream (Rng.create ~seed:cfg.seed) "failure-type";
-      bb =
-        (match cfg.strategy with
-        | Strategy.Baseline -> None
-        | _ ->
-            Option.map
-              (fun spec -> Burst_buffer.create ~engine ~metrics ~pfs:io spec)
-              cfg.burst_buffer);
       hier;
       snap;
       token_busy = false;
@@ -332,16 +314,8 @@ let run ?specs ?trace ?hooks ?sample ?on_engine (cfg : Config.t) =
              (c.App_class.name, Stats.running_mean w.interval_stats.(i)))
            classes);
     specs_total = Array.length specs;
-    bb_absorbed =
-      (match (w.bb, w.hier) with
-      | Some bb, _ -> Burst_buffer.writes_absorbed bb
-      | None, Some h -> Ckpt_hierarchy.writes_absorbed h
-      | None, None -> 0);
-    bb_spilled =
-      (match (w.bb, w.hier) with
-      | Some bb, _ -> Burst_buffer.writes_spilled bb
-      | None, Some h -> Ckpt_hierarchy.writes_spilled h
-      | None, None -> 0);
+    bb_absorbed = Option.fold ~none:0 ~some:Ckpt_hierarchy.writes_absorbed w.hier;
+    bb_spilled = Option.fold ~none:0 ~some:Ckpt_hierarchy.writes_spilled w.hier;
     mean_ckpt_wait =
       Array.to_list
         (Array.mapi

@@ -11,7 +11,7 @@ type kind =
       (** instance allocated and beginning input *)
   | Input_done  (** initial input or recovery read finished; work begins *)
   | Ckpt_requested
-  | Ckpt_started  (** commit transfer begins (PFS or burst buffer) *)
+  | Ckpt_started  (** commit transfer begins (PFS or a buffer level) *)
   | Ckpt_committed of { work : float }  (** committed progress level *)
   | Ckpt_aborted  (** a failure destroyed the commit in flight *)
   | Token_granted

@@ -25,10 +25,10 @@ let named_floats pairs =
 let named_ints pairs =
   String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%s:%d" k v) pairs)
 
-let result_block ~strategy ~seed (r : Simulator.result) =
+let result_block ?(suffix = "") ~strategy ~seed (r : Simulator.result) =
   String.concat "\n"
     [
-      Printf.sprintf "run %s seed=%d" (Strategy.name strategy) seed;
+      Printf.sprintf "run %s seed=%d%s" (Strategy.name strategy) seed suffix;
       "progress_ns=" ^ f r.progress_ns;
       "waste_ns=" ^ f r.waste_ns;
       "enrolled_ns=" ^ f r.enrolled_ns;
@@ -53,6 +53,48 @@ let result_block ~strategy ~seed (r : Simulator.result) =
       "lost_work_by_class=" ^ named_floats r.lost_work_by_class;
     ]
 
+(* Checkpoint-hierarchy cases, appended after the paper seven: a single
+   buffer level small enough to spill (drains serialized through the PFS),
+   and node-local snapshots above a buffer with a dedicated flush edge. *)
+let buffer_level ~capacity_gb ~flush_gbs =
+  Config.Buffer
+    {
+      Config.bl_capacity_gb = capacity_gb;
+      bl_bandwidth_gbs = 1_000.0;
+      bl_flush_gbs = flush_gbs;
+      bl_survival = 1.0;
+    }
+
+let hierarchy_cases =
+  let spill = { Config.levels = [ buffer_level ~capacity_gb:100_000.0 ~flush_gbs:None ] } in
+  let snapshot_flush =
+    {
+      Config.levels =
+        [
+          Config.Snapshot
+            { Config.sl_period_s = 600.0; sl_cost_s = 5.0; sl_recovery_s = 30.0; sl_survival = 0.5 };
+          buffer_level ~capacity_gb:250_000.0 ~flush_gbs:(Some 20.0);
+        ];
+    }
+  in
+  [
+    ("buffer-spill", Strategy.Oblivious (Strategy.Fixed Strategy.default_fixed_period_s), spill);
+    ("buffer-spill", Strategy.Least_waste, spill);
+    ("snapshot+flush", Strategy.Least_waste, snapshot_flush);
+    ("snapshot+flush", Strategy.Ordered_nb Strategy.Daly, snapshot_flush);
+  ]
+
+let hierarchy_seed = 42
+
+let hierarchy_block (label, strategy, multilevel) =
+  let seed = hierarchy_seed in
+  let cfg =
+    Config.make
+      ~platform:(Platform.cielo ~bandwidth_gbs ~node_mtbf_years:5.0 ())
+      ~strategy ~seed ~days ~multilevel ()
+  in
+  result_block ~suffix:(" hierarchy=" ^ label) ~strategy ~seed (Simulator.run cfg)
+
 let all_runs () =
   let blocks =
     List.concat_map
@@ -63,4 +105,4 @@ let all_runs () =
           seeds)
       Strategy.paper_seven
   in
-  String.concat "\n\n" blocks ^ "\n"
+  String.concat "\n\n" (blocks @ List.map hierarchy_block hierarchy_cases) ^ "\n"

@@ -9,7 +9,6 @@ module Strategy = Cocheck_core.Strategy
 module Config = Cocheck_sim.Config
 module Simulator = Cocheck_sim.Simulator
 module Failure_trace = Cocheck_sim.Failure_trace
-module Burst_buffer = Cocheck_sim.Burst_buffer
 module Units = Cocheck_util.Units
 module Json = Cocheck_obs.Json
 module E = Cocheck_experiments
@@ -99,12 +98,6 @@ let spec_gen =
           map (fun sigma -> Some (Failure_trace.Lognormal { sigma })) (float_range 0.0 2.0);
         ]
     in
-    let burst_buffer =
-      opt
-        (map
-           (fun (capacity_gb, bandwidth_gbs) -> { Burst_buffer.capacity_gb; bandwidth_gbs })
-           (pair (float_range 10.0 1e6) (float_range 10.0 5000.0)))
-    in
     let snapshot_level =
       map
         (fun ((sl_period_s, sl_cost_s), (sl_recovery_s, sl_survival)) ->
@@ -132,7 +125,7 @@ let spec_gen =
     in
     map
       (fun (((platform, classes), (strategies, axis)),
-            (((reps, seed), days), ((failure_dist, alpha), (burst_buffer, multilevel)))) ->
+            (((reps, seed), days), ((failure_dist, alpha), multilevel))) ->
         {
           E.Spec.name = "qc-campaign";
           platform;
@@ -144,7 +137,6 @@ let spec_gen =
           days;
           failure_dist;
           interference_alpha = alpha;
-          burst_buffer;
           multilevel;
         })
       (pair
@@ -155,7 +147,7 @@ let spec_gen =
             (pair (pair (int_range 1 500) (int_range 0 1_000_000)) (float_range 0.1 100.0))
             (pair
                (pair failure_dist (opt (float_range 0.0 2.0)))
-               (pair burst_buffer multilevel)))))
+               multilevel))))
 
 let arb_spec =
   QCheck.make ~print:(fun s -> Json.to_string_pretty (E.Spec.to_json s)) spec_gen
@@ -363,6 +355,119 @@ let test_level_knobs_change_key () =
        (ml_digest_spec ~name:"renamed"
           ~multilevel:{ Config.levels = [ buffer_level () ] } ())
        ())
+
+(* Store keys pinned at their values before the burst buffer became a
+   hierarchy level: a silent key change would turn every stored record
+   into a miss (and perfbench skips points without a reference entry). *)
+let oblivious_fixed = Strategy.Oblivious (Strategy.Fixed Strategy.default_fixed_period_s)
+
+let first_key spec strategy =
+  E.Spec.cell_key spec ~cell:(List.hd (E.Spec.cells spec)) ~strategy ~rep:0
+
+let single_buffer_spec () =
+  E.Spec.make ~name:"bb"
+    ~platform:(Platform.cielo ~bandwidth_gbs:40.0 ~node_mtbf_years:5.0 ())
+    ~strategies:[ oblivious_fixed; Strategy.Least_waste ] ~reps:2 ~seed:42 ~days:2.0
+    ~multilevel:{ Config.levels = [ Config.buffer ~capacity_gb:100_000.0 ~bandwidth_gbs:1_000.0 () ] }
+    ()
+
+let test_pinned_cell_keys () =
+  let fig1 =
+    E.Spec.make ~name:"fig1" ~platform:(Platform.cielo ~node_mtbf_years:2.0 ())
+      ~strategies:Strategy.paper_seven
+      ~axis:(E.Spec.Bandwidth_gbs E.Fig1.default_bandwidths_gbs) ~reps:100 ~seed:42
+      ~days:60.0 ()
+  in
+  let hierarchy_flush =
+    E.Spec.make ~name:"hierarchy-flush"
+      ~platform:(Platform.cielo ~bandwidth_gbs:40.0 ())
+      ~strategies:[ Strategy.Least_waste; Strategy.Ordered_nb Strategy.Daly ]
+      ~axis:(E.Spec.Flush_gbs [ 5.0; 10.0 ])
+      ~multilevel:
+        {
+          Config.levels =
+            [
+              Config.Snapshot
+                { Config.sl_period_s = 600.0; sl_cost_s = 5.0; sl_recovery_s = 30.0; sl_survival = 0.5 };
+              Config.buffer ~flush_gbs:20.0 ~capacity_gb:250_000.0 ~bandwidth_gbs:1_000.0 ();
+            ];
+        }
+      ~reps:20 ~seed:42 ~days:4.0 ()
+  in
+  Alcotest.(check string) "fig1 point" "fc4580800afb516bd173eba42f71563e"
+    (first_key fig1 Strategy.Least_waste);
+  Alcotest.(check string) "hierarchy-flush point" "f6310bdcd69dbae5a23a26aa525ad623"
+    (first_key hierarchy_flush Strategy.Least_waste);
+  Alcotest.(check string) "single buffer level" "7395625cdfc899fa302dc617b6ec0f87"
+    (first_key (single_buffer_spec ()) oblivious_fixed)
+
+(* A spec saved with the retired [burst_buffer] object loads as the same
+   spec written with one buffer level: same keys, same ratios (pinned
+   from the single-level run before the retirement). *)
+let test_legacy_burst_buffer_json () =
+  let legacy =
+    "{\"schema\":\"cocheck.campaign\",\"version\":1,\"name\":\"bb\",\"platform\":\
+     {\"name\":\"Cielo\",\"nodes\":17888,\"mem_per_node_gb\":15.988372093023257,\
+     \"bandwidth_gbs\":40,\"node_mtbf_s\":157680000},\"strategies\":\
+     [{\"oblivious\":{\"fixed_s\":3600}},\"least-waste\"],\"axis\":{\"sweep\":\"none\"},\
+     \"reps\":2,\"seed\":42,\"days\":2,\
+     \"burst_buffer\":{\"capacity_gb\":100000,\"bandwidth_gbs\":1000}}"
+  in
+  let spec =
+    match Result.bind (Json.of_string legacy) E.Spec.of_json with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "decodes to one buffer level" true (spec = single_buffer_spec ());
+  Alcotest.(check bool) "re-encodes without the legacy object" true
+    (Json.member "burst_buffer" (E.Spec.to_json spec) = None);
+  Alcotest.(check string) "least-waste key" "1193422e927c5021569033ae566f5ca4"
+    (first_key spec Strategy.Least_waste);
+  let ratios =
+    Pool.with_pool ~num_domains:0 (fun pool ->
+        List.concat_map
+          (fun (r : E.Runner.cell_result) -> Array.to_list r.E.Runner.ratios)
+          (E.Runner.run ~pool spec).E.Runner.results)
+  in
+  Alcotest.(check (list string)) "ratios bit-identical"
+    [ "0x1.a7c485279a19ap-1"; "0x1.a5816b9bf9f6cp-1"; "0x1.bfd92625aac13p-3"; "0x1.21057f4219433p-3" ]
+    (List.map (Printf.sprintf "%h") ratios);
+  (* In a manifest config: appended after snapshot levels, refused beside
+     buffer levels. *)
+  let with_legacy (cfg : Config.t) =
+    match Manifest.config_to_json cfg with
+    | Json.Obj fields ->
+        Json.Obj
+          (fields
+          @ [
+              ( "burst_buffer",
+                Json.Obj [ ("capacity_gb", Json.Float 64.0); ("bandwidth_gbs", Json.Float 8.0) ] );
+            ])
+    | _ -> assert false
+  in
+  let snapshot = Config.local_level ~period_s:600.0 ~cost_s:5.0 ~recovery_s:30.0 ~soft_fraction:0.5 in
+  let cfg multilevel =
+    Config.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ]
+      ~strategy:Strategy.Least_waste ~days:1.0 ?multilevel ()
+  in
+  (match Manifest.config_of_json (with_legacy (cfg (Some snapshot))) with
+  | Ok c ->
+      Alcotest.(check bool) "buffer level after the snapshot level" true
+        (c.Config.multilevel
+        = Some
+            {
+              Config.levels =
+                snapshot.Config.levels @ [ Config.buffer ~capacity_gb:64.0 ~bandwidth_gbs:8.0 () ];
+            })
+  | Error e -> Alcotest.fail e);
+  match
+    Manifest.config_of_json
+      (with_legacy (cfg (Some { Config.levels = [ buffer_level () ] })))
+  with
+  | Error e ->
+      Alcotest.(check string) "legacy object beside buffer levels"
+        "manifest: burst_buffer and buffer levels are exclusive" e
+  | Ok _ -> Alcotest.fail "a legacy burst_buffer beside buffer levels must be refused"
 
 let test_flush_axis () =
   (match
@@ -691,6 +796,8 @@ let () =
           Alcotest.test_case "level knobs change keys" `Quick
             test_level_knobs_change_key;
           Alcotest.test_case "flush axis" `Quick test_flush_axis;
+          Alcotest.test_case "pinned cell keys" `Quick test_pinned_cell_keys;
+          Alcotest.test_case "legacy burst_buffer JSON" `Quick test_legacy_burst_buffer_json;
         ] );
       ( "runner",
         [

@@ -190,6 +190,44 @@ let test_fig3_theoretical_consistent_with_bound () =
   Alcotest.(check bool) "infeasible below b" true
     (waste_at (b /. 1.05) > (1.0 -. target) -. 1e-6)
 
+(* The search as it was before it bound each probe once: the oracle for
+   the results, which must not move. *)
+let reference_log_bisect ~f ~lo0 ~hi0 ~iters =
+  let lo = ref lo0 and hi = ref hi0 in
+  while f !hi > 0.0 && !hi < 1e7 do
+    lo := !hi;
+    hi := !hi *. 2.0
+  done;
+  if f !hi > 0.0 then !hi
+  else if f !lo <= 0.0 then !lo
+  else begin
+    for _ = 1 to iters do
+      let mid = sqrt (!lo *. !hi) in
+      if f mid <= 0.0 then hi := mid else lo := mid
+    done;
+    !hi
+  end
+
+let test_fig3_bisect_probes_once () =
+  List.iter
+    (fun (label, crossing, lo0, hi0) ->
+      let probed = Hashtbl.create 32 in
+      let f beta =
+        if Hashtbl.mem probed beta then Alcotest.failf "%s: beta %h probed twice" label beta;
+        Hashtbl.add probed beta ();
+        crossing -. beta
+      in
+      let got = E.Fig3.log_bisect ~f ~lo0 ~hi0 ~iters:9 in
+      let want = reference_log_bisect ~f:(fun b -> crossing -. b) ~lo0 ~hi0 ~iters:9 in
+      Alcotest.(check string) (label ^ ": same result") (Printf.sprintf "%h" want)
+        (Printf.sprintf "%h" got))
+    [
+      ("bracket grows", 1234.5, 50.0, 400.0);
+      ("bracket holds", 123.4, 50.0, 400.0);
+      ("lo0 already feasible", 10.0, 50.0, 400.0);
+      ("never feasible", 3e7, 50.0, 400.0);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -391,6 +429,7 @@ let () =
           Alcotest.test_case "monotone in MTBF" `Quick test_fig3_theoretical_monotone_in_mtbf;
           Alcotest.test_case "monotone in target" `Quick test_fig3_theoretical_monotone_in_target;
           Alcotest.test_case "consistent with bound" `Quick test_fig3_theoretical_consistent_with_bound;
+          Alcotest.test_case "bisection probes each point once" `Quick test_fig3_bisect_probes_once;
         ] );
       ( "ablations",
         [

@@ -1,12 +1,13 @@
 (* Tests for the extensions beyond the paper's core evaluation: the gamma
    function, non-exponential failure distributions, the adversarial
-   (degraded) interference model, the burst-buffer tier, event tracing, the
-   period trade-off analysis and confidence intervals. *)
+   (degraded) interference model, the burst-buffer tier (a single
+   checkpoint-hierarchy buffer level), event tracing, the period trade-off
+   analysis and confidence intervals. *)
 
 module Engine = Cocheck_des.Engine
 module Metrics = Cocheck_sim.Metrics
 module Io = Cocheck_sim.Io_subsystem
-module Burst_buffer = Cocheck_sim.Burst_buffer
+module Ckpt_hierarchy = Cocheck_sim.Ckpt_hierarchy
 module Failure_trace = Cocheck_sim.Failure_trace
 module Trace = Cocheck_sim.Trace
 module Config = Cocheck_sim.Config
@@ -171,115 +172,76 @@ let test_degraded_simulation_worse () =
 (* Burst buffer                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The burst-buffer tier is a single Ckpt_hierarchy buffer level with
+   serialized drains (bl_flush_gbs = None) in front of the PFS. *)
 let mk_bb ?(capacity = 100.0) ?(bb_bw = 100.0) ?(pfs_bw = 10.0) () =
   let engine = Engine.create () in
   let metrics = Metrics.create ~seg_start:0.0 ~seg_end:1e9 in
   let pfs = Io.create ~engine ~metrics ~bandwidth_gbs:pfs_bw ~sharing:`Linear in
-  let bb =
-    Burst_buffer.create ~engine ~metrics ~pfs
-      { Burst_buffer.capacity_gb = capacity; bandwidth_gbs = bb_bw }
+  let level =
+    {
+      Config.bl_capacity_gb = capacity;
+      bl_bandwidth_gbs = bb_bw;
+      bl_flush_gbs = None;
+      bl_survival = 1.0;
+    }
   in
-  (engine, metrics, pfs, bb)
+  (engine, Ckpt_hierarchy.create ~engine ~metrics ~pfs [ level ])
+
+let bb_write bb ~owner ~volume_gb ~on_complete =
+  Ckpt_hierarchy.write bb ~owner ~job:0 ~nodes:1 ~volume_gb ~content:1.0 ~at:0.0 ~on_complete
 
 let test_bb_write_fast_commit () =
-  let engine, _, _, bb = mk_bb () in
+  let engine, bb = mk_bb () in
   let t = ref nan in
-  ignore
-    (Burst_buffer.write bb ~owner:7 ~job:0 ~nodes:4 ~volume_gb:50.0 ~on_complete:(fun () ->
-         t := Engine.now engine));
+  ignore (bb_write bb ~owner:7 ~volume_gb:50.0 ~on_complete:(fun () -> t := Engine.now engine));
   Engine.run engine;
   (* 50 GB at 100 GB/s: committed in 0.5 s, far faster than the 5 s the
      PFS would need. *)
   checkf "commit at BB speed" ~eps:1e-6 0.5 !t
 
 let test_bb_capacity_reserved_and_drained () =
-  let engine, _, _, bb = mk_bb ~capacity:60.0 () in
-  ignore
-    (Burst_buffer.write bb ~owner:1 ~job:0 ~nodes:1 ~volume_gb:50.0
-       ~on_complete:(fun () -> ()));
-  checkf "reserved at write start" 50.0 (Burst_buffer.used_gb bb);
+  let engine, bb = mk_bb ~capacity:60.0 () in
+  ignore (bb_write bb ~owner:1 ~volume_gb:50.0 ~on_complete:ignore);
+  checkf "reserved at write start" 50.0 (Ckpt_hierarchy.used_gb bb ~level:0);
   Alcotest.(check bool) "second write does not fit" false
-    (Burst_buffer.fits bb ~volume_gb:20.0);
+    (Ckpt_hierarchy.fits bb ~volume_gb:20.0);
   Engine.run engine;
   (* After write (0.5 s) + drain (50 GB at 10 GB/s = 5 s) space frees. *)
-  checkf "drained" 0.0 (Burst_buffer.used_gb bb);
-  Alcotest.(check int) "no drains pending" 0 (Burst_buffer.drains_pending bb)
+  checkf "drained" 0.0 (Ckpt_hierarchy.used_gb bb ~level:0);
+  Alcotest.(check int) "no drains pending" 0 (Ckpt_hierarchy.drains_pending bb)
 
 let test_bb_write_does_not_fit_spills () =
-  let _, _, _, bb = mk_bb ~capacity:10.0 () in
+  let _, bb = mk_bb ~capacity:10.0 () in
   Alcotest.(check bool) "oversized write returns None" true
-    (Burst_buffer.write bb ~owner:1 ~job:0 ~nodes:1 ~volume_gb:20.0
-       ~on_complete:(fun () -> ())
-    = None);
-  Alcotest.(check int) "spill counted by the buffer" 1 (Burst_buffer.writes_spilled bb);
-  checkf "no capacity reserved" 0.0 (Burst_buffer.used_gb bb)
+    (bb_write bb ~owner:1 ~volume_gb:20.0 ~on_complete:ignore = None);
+  Alcotest.(check int) "spill counted by the buffer" 1 (Ckpt_hierarchy.writes_spilled bb);
+  checkf "no capacity reserved" 0.0 (Ckpt_hierarchy.used_gb bb ~level:0)
 
 let test_bb_residency_lifecycle () =
-  let engine, _, _, bb = mk_bb () in
-  Alcotest.(check bool) "nothing resident initially" false
-    (Burst_buffer.resident_for bb ~owner:3);
+  let engine, bb = mk_bb () in
+  let source () = Ckpt_hierarchy.recovery_source bb ~owner:3 in
+  Alcotest.(check (option int)) "nothing resident initially" None (source ());
   let committed = ref false in
-  ignore
-    (Burst_buffer.write bb ~owner:3 ~job:0 ~nodes:1 ~volume_gb:40.0
-       ~on_complete:(fun () -> committed := true));
-  Alcotest.(check bool) "not resident while writing" false
-    (Burst_buffer.resident_for bb ~owner:3);
+  ignore (bb_write bb ~owner:3 ~volume_gb:40.0 ~on_complete:(fun () -> committed := true));
+  Alcotest.(check (option int)) "not resident while writing" None (source ());
   Engine.run engine;
   Alcotest.(check bool) "write completed" true !committed;
-  (* Everything drained by now: residency gone. *)
-  Alcotest.(check bool) "drained copies are not resident" false
-    (Burst_buffer.resident_for bb ~owner:3)
-
-let test_bb_resident_while_draining () =
-  (* Slow PFS: the drain is still running right after the write commits. *)
-  let engine, _, _, bb = mk_bb ~pfs_bw:0.001 () in
-  let committed_at = ref nan in
-  ignore
-    (Burst_buffer.write bb ~owner:3 ~job:0 ~nodes:1 ~volume_gb:40.0
-       ~on_complete:(fun () -> committed_at := Engine.now engine));
-  Engine.run ~until:1.0 engine;
-  Alcotest.(check bool) "committed" true (Float.is_finite !committed_at);
-  Alcotest.(check bool) "resident while draining" true
-    (Burst_buffer.resident_for bb ~owner:3);
-  Alcotest.(check int) "one drain in flight" 1 (Burst_buffer.drains_pending bb)
+  (* Everything drained by now: recovery goes through the PFS. *)
+  Alcotest.(check (option int)) "drained copies are not resident" None (source ())
 
 let test_bb_abort_releases_reservation () =
-  let engine, _, _, bb = mk_bb ~bb_bw:1.0 () in
-  let flow =
+  let engine, bb = mk_bb ~bb_bw:1.0 () in
+  let pool, flow =
     Option.get
-      (Burst_buffer.write bb ~owner:1 ~job:0 ~nodes:1 ~volume_gb:50.0
-         ~on_complete:(fun () -> Alcotest.fail "aborted write must not complete"))
+      (bb_write bb ~owner:1 ~volume_gb:50.0 ~on_complete:(fun () ->
+           Alcotest.fail "aborted write must not complete"))
   in
   ignore
-    (Engine.schedule_at engine ~time:1.0 (fun _ -> Burst_buffer.abort_write bb flow));
+    (Engine.schedule_at engine ~time:1.0 (fun _ -> Ckpt_hierarchy.abort_write bb ~pool flow));
   Engine.run engine;
-  checkf "reservation released" 0.0 (Burst_buffer.used_gb bb);
-  Alcotest.(check bool) "nothing resident" false (Burst_buffer.resident_for bb ~owner:1)
-
-let test_bb_read_requires_residency () =
-  let _, _, _, bb = mk_bb () in
-  Alcotest.(check bool) "read without residency rejected" true
-    (match
-       Burst_buffer.read bb ~owner:9 ~job:0 ~nodes:1 ~volume_gb:1.0
-         ~on_complete:(fun () -> ())
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_bb_drains_serialize () =
-  let engine, _, _, bb = mk_bb ~capacity:1000.0 () in
-  for owner = 0 to 3 do
-    ignore
-      (Burst_buffer.write bb ~owner ~job:owner ~nodes:1 ~volume_gb:50.0
-         ~on_complete:(fun () -> ()))
-  done;
-  (* Writes complete at 2 s (shared 100 GB/s over 4 x 50 GB). Drains then run
-     one at a time at 10 GB/s: 4 x 5 s. *)
-  Engine.run ~until:3.0 engine;
-  Alcotest.(check int) "drains queue up" 4 (Burst_buffer.drains_pending bb);
-  Engine.run engine;
-  Alcotest.(check int) "all drained" 0 (Burst_buffer.drains_pending bb);
-  checkf "space reclaimed" 0.0 (Burst_buffer.used_gb bb)
+  checkf "reservation released" 0.0 (Ckpt_hierarchy.used_gb bb ~level:0);
+  Alcotest.(check bool) "nothing resident" false (Ckpt_hierarchy.has_any_copy bb ~owner:1)
 
 (* Burst buffer end-to-end: a contended scenario where the buffer absorbs
    the checkpoint traffic. *)
@@ -291,12 +253,12 @@ let tiny_platform =
   Platform.make ~name:"tiny" ~nodes:64 ~mem_per_node_gb:1.0 ~bandwidth_gbs:0.2
     ~node_mtbf_s:(Units.years 2.0)
 
-let bb_spec = { Burst_buffer.capacity_gb = 64.0; bandwidth_gbs = 8.0 }
+let bb_spec = { Config.levels = [ Config.buffer ~capacity_gb:64.0 ~bandwidth_gbs:8.0 () ] }
 
-let run_tiny ?burst_buffer strategy =
+let run_tiny ?multilevel strategy =
   let cfg s =
     Config.make ~platform:tiny_platform ~classes:[ tiny_class ] ~strategy:s ~seed:4
-      ~days:1.0 ~with_failures:false ?burst_buffer ()
+      ~days:1.0 ~with_failures:false ?multilevel ()
   in
   let specs = Simulator.generate_specs (cfg Strategy.Baseline) in
   let baseline = Simulator.run ~specs (cfg Strategy.Baseline) in
@@ -306,7 +268,7 @@ let run_tiny ?burst_buffer strategy =
 let test_bb_simulation_reduces_waste () =
   let strategy = Strategy.Oblivious (Strategy.Fixed 600.0) in
   let r_without, w_without = run_tiny strategy in
-  let r_with, w_with = run_tiny ~burst_buffer:bb_spec strategy in
+  let r_with, w_with = run_tiny ~multilevel:bb_spec strategy in
   Alcotest.(check int) "no absorption without buffer" 0 r_without.Simulator.bb_absorbed;
   Alcotest.(check bool)
     (Printf.sprintf "buffer absorbs commits (%d)" r_with.Simulator.bb_absorbed)
@@ -319,13 +281,13 @@ let test_bb_simulation_reduces_waste () =
 let test_bb_simulation_spills_when_small () =
   (* An 8 GB job checkpoint against a 9 GB buffer: at most one resident
      copy; concurrent committers spill. *)
-  let small = { Burst_buffer.capacity_gb = 9.0; bandwidth_gbs = 8.0 } in
-  let r, _ = run_tiny ~burst_buffer:small (Strategy.Oblivious (Strategy.Fixed 600.0)) in
+  let small = { Config.levels = [ Config.buffer ~capacity_gb:9.0 ~bandwidth_gbs:8.0 () ] } in
+  let r, _ = run_tiny ~multilevel:small (Strategy.Oblivious (Strategy.Fixed 600.0)) in
   Alcotest.(check bool) "some spills" true (r.Simulator.bb_spilled > 0);
   Alcotest.(check bool) "some absorbed" true (r.bb_absorbed > 0)
 
 let test_bb_conservation_still_holds () =
-  let r, _ = run_tiny ~burst_buffer:bb_spec Strategy.Least_waste in
+  let r, _ = run_tiny ~multilevel:bb_spec Strategy.Least_waste in
   Alcotest.(check bool) "progress+waste=enrolled with BB" true
     (Numerics.fequal ~eps:1e-6 (r.Simulator.progress_ns +. r.waste_ns) r.enrolled_ns)
 
@@ -483,28 +445,7 @@ let test_multilevel_validation () =
                  sl_survival = 0.5;
                };
            ];
-       });
-  Alcotest.(check bool) "buffer level exclusive with burst_buffer" true
-    (match
-       Config.make ~platform ~classes:[ tiny_class ] ~strategy:Strategy.Least_waste
-         ~burst_buffer:{ Burst_buffer.capacity_gb = 64.0; bandwidth_gbs = 8.0 }
-         ~multilevel:
-           {
-             Config.levels =
-               [
-                 Config.Buffer
-                   {
-                     Config.bl_capacity_gb = 100.0;
-                     bl_bandwidth_gbs = 10.0;
-                     bl_flush_gbs = None;
-                     bl_survival = 1.0;
-                   };
-               ];
-           }
-         ()
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+       })
 
 (* ------------------------------------------------------------------ *)
 (* Trace                                                                *)
@@ -708,10 +649,7 @@ let () =
           Alcotest.test_case "capacity lifecycle" `Quick test_bb_capacity_reserved_and_drained;
           Alcotest.test_case "oversized write spills" `Quick test_bb_write_does_not_fit_spills;
           Alcotest.test_case "residency lifecycle" `Quick test_bb_residency_lifecycle;
-          Alcotest.test_case "resident while draining" `Quick test_bb_resident_while_draining;
           Alcotest.test_case "abort releases space" `Quick test_bb_abort_releases_reservation;
-          Alcotest.test_case "read requires residency" `Quick test_bb_read_requires_residency;
-          Alcotest.test_case "drains serialize" `Quick test_bb_drains_serialize;
           Alcotest.test_case "reduces waste end-to-end" `Quick test_bb_simulation_reduces_waste;
           Alcotest.test_case "spills when small" `Quick test_bb_simulation_spills_when_small;
           Alcotest.test_case "conservation with BB" `Quick test_bb_conservation_still_holds;

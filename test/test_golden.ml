@@ -1,10 +1,12 @@
-(* Golden-trace regression: every paper strategy on three fixed seeds must
-   reproduce the stored [Simulator.result] fixtures field-by-field (floats
-   compared as hexadecimal literals, i.e. bit-exactly). The fixture was
+(* Golden-trace regression: every paper strategy on three fixed seeds, and
+   four checkpoint-hierarchy runs, must reproduce the stored
+   [Simulator.result] fixtures field-by-field (floats compared as
+   hexadecimal literals, i.e. bit-exactly). The paper-strategy blocks were
    generated from the pre-decomposition monolithic simulator, so a green
    run proves the arbiter/lifecycle/checkpoint/failure split is
-   behavior-preserving. Regenerate (only on an intentional behavior
-   change) with:
+   behavior-preserving; the hierarchy blocks pin the single storage path
+   (a spilling buffer level, and snapshots above a flushed buffer).
+   Regenerate (only on an intentional behavior change) with:
 
      dune exec test/golden/gen_golden.exe > test/golden_results.txt *)
 

@@ -2,9 +2,8 @@
    L-level waste model (against the Two_level oracle and against perturbed
    periods), the level-aware Least-Waste aggregates, the hierarchical lower
    bound, the Ckpt_hierarchy storage engine (capacity accounting, flush
-   cascades, failure survival), and the end-to-end differential oracle —
-   a single-buffer serialized hierarchy must reproduce the legacy
-   burst-buffer simulation event for event. *)
+   cascades, failure survival, recovery sources), and an end-to-end flush
+   bandwidth sweep. *)
 
 module Platform = Cocheck_model.Platform
 module App_class = Cocheck_model.App_class
@@ -17,7 +16,6 @@ module Lower_bound = Cocheck_core.Lower_bound
 module Least_waste = Cocheck_core.Least_waste
 module Config = Cocheck_sim.Config
 module Simulator = Cocheck_sim.Simulator
-module Burst_buffer = Cocheck_sim.Burst_buffer
 module Ckpt_hierarchy = Cocheck_sim.Ckpt_hierarchy
 module Metrics = Cocheck_sim.Metrics
 module Io = Cocheck_sim.Io_subsystem
@@ -408,6 +406,56 @@ let test_hier_failure_survival_threshold () =
   | Some 0, used, true -> checkf "survivor stays resident" 50.0 used
   | _ -> Alcotest.fail "u < survival must leave the copy intact"
 
+(* A committed copy stays a recovery source while its serialized drain is
+   still running, and recovery reads it back at absorb speed. *)
+let test_hier_recovery_while_flushing () =
+  let engine, h = mk_hier ~pfs_bw:0.001 [ lvl 100.0 100.0 ] in
+  let committed_at = ref nan in
+  ignore
+    (write_exn h ~owner:3 ~job:0 ~volume_gb:40.0 ~content:1.0 ~at:0.0
+       ~on_complete:(fun () -> committed_at := Engine.now engine));
+  Engine.run ~until:1.0 engine;
+  checkb "committed" true (Float.is_finite !committed_at);
+  checki "one drain in flight" 1 (Ckpt_hierarchy.drains_pending h);
+  Alcotest.(check (option int))
+    "the flushing copy is the recovery source" (Some 0)
+    (Ckpt_hierarchy.recovery_source h ~owner:3);
+  let read_done = ref nan in
+  ignore
+    (Ckpt_hierarchy.read h ~owner:3 ~job:1 ~nodes:4 ~volume_gb:40.0 ~level:0
+       ~on_complete:(fun () -> read_done := Engine.now engine));
+  Engine.run ~until:2.0 engine;
+  checkf "read back at absorb speed" ~eps:1e-6 (1.0 +. 0.4) !read_done
+
+(* Without a dedicated edge, queued copies drain into the PFS one at a
+   time: four 50 GB copies at 10 GB/s finish 5 s apart. *)
+let test_hier_serialized_drains () =
+  let engine, h = mk_hier ~pfs_bw:10.0 [ lvl 1000.0 100.0 ] in
+  for owner = 0 to 3 do
+    ignore
+      (write_exn h ~owner ~job:owner ~volume_gb:50.0 ~content:1.0 ~at:0.0
+         ~on_complete:ignore)
+  done;
+  (* The writes share 100 GB/s and all commit at 2 s. *)
+  List.iter
+    (fun (until, pending) ->
+      Engine.run ~until engine;
+      checki (Printf.sprintf "drains pending at %g s" until) pending
+        (Ckpt_hierarchy.drains_pending h))
+    [ (3.0, 4); (7.5, 3); (12.5, 2); (17.5, 1) ];
+  Engine.run engine;
+  checkf "last drain lands at 22 s" ~eps:1e-6 22.0 (Engine.now engine);
+  checki "all drained" 0 (Ckpt_hierarchy.drains_pending h);
+  checkf "space reclaimed" 0.0 (Ckpt_hierarchy.used_gb h ~level:0)
+
+let test_hier_read_requires_live_copy () =
+  let _, h = mk_hier [ lvl 100.0 100.0 ] in
+  Alcotest.check_raises "no copy, no read"
+    (Invalid_argument "Ckpt_hierarchy.read: no live copy at this level") (fun () ->
+      ignore
+        (Ckpt_hierarchy.read h ~owner:9 ~job:0 ~nodes:1 ~volume_gb:1.0 ~level:0
+           ~on_complete:ignore))
+
 (* Capacity safety under arbitrary interleavings of writes, aborts and
    failures: 0 <= used <= capacity at every step, and a quiesced hierarchy
    always drains back to empty. *)
@@ -460,7 +508,60 @@ let test_hier_capacity_invariant =
       && Float.abs (Ckpt_hierarchy.used_gb h ~level:1) < 1e-9)
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: burst-buffer differential oracle                         *)
+(* Command-line syntax (simctl --hierarchy)                             *)
+(* ------------------------------------------------------------------ *)
+
+let gen_multilevel =
+  QCheck.Gen.(
+    let snapshot =
+      map
+        (fun ((sl_period_s, sl_cost_s), (sl_recovery_s, sl_survival)) ->
+          Config.Snapshot { Config.sl_period_s; sl_cost_s; sl_recovery_s; sl_survival })
+        (pair (pair (float_range 1.0 1e5) (float_range 0.0 600.0))
+           (pair (float_range 0.0 600.0) (float_range 0.0 1.0)))
+    in
+    let buffer =
+      map
+        (fun ((capacity_gb, bandwidth_gbs), (flush_gbs, survival)) ->
+          Config.buffer ?flush_gbs ~survival ~capacity_gb ~bandwidth_gbs ())
+        (pair (pair (float_range 1.0 1e7) (float_range 0.1 1e4))
+           (pair (opt (float_range 0.1 1e3)) (oneof [ return 1.0; float_range 0.0 1.0 ])))
+    in
+    map
+      (fun (snaps, bufs) -> { Config.levels = snaps @ bufs })
+      (pair (list_size (int_range 0 2) snapshot) (list_size (int_range 1 3) buffer)))
+
+let test_cli_syntax_roundtrip =
+  QCheck.Test.make ~name:"hierarchy_syntax_roundtrip" ~count:300
+    (QCheck.make ~print:Config.multilevel_to_string gen_multilevel)
+    (fun m -> Config.multilevel_of_string (Config.multilevel_to_string m) = Ok m)
+
+let test_cli_syntax_cases () =
+  let parses what s levels =
+    Alcotest.(check bool) what true (Config.multilevel_of_string s = Ok { Config.levels })
+  in
+  parses "a burst buffer" "250000,1000" [ Config.buffer ~capacity_gb:250000.0 ~bandwidth_gbs:1000.0 () ];
+  parses "snapshot + flushed buffer" "snapshot:600,5,30,0.5;250000,1000,20"
+    ((Config.local_level ~period_s:600.0 ~cost_s:5.0 ~recovery_s:30.0 ~soft_fraction:0.5)
+       .Config.levels
+    @ [ Config.buffer ~flush_gbs:20.0 ~capacity_gb:250000.0 ~bandwidth_gbs:1000.0 () ]);
+  parses "empty flush keeps serialized drains" "100,10,,0.5"
+    [ Config.buffer ~survival:0.5 ~capacity_gb:100.0 ~bandwidth_gbs:10.0 () ];
+  let fails what s msg =
+    Alcotest.(check (result reject string)) what (Error msg)
+      (Result.map ignore (Config.multilevel_of_string s))
+  in
+  fails "buffer before snapshot" "100,10;snapshot:600,5,30,0.5"
+    "Config: snapshot levels must precede buffer levels";
+  fails "zero capacity" "0,10" "Config: buffer level capacity must be positive";
+  fails "survival above 1" "100,10,5,1.5" "Config: buffer survival outside [0, 1]";
+  fails "short snapshot" "snapshot:600,5"
+    "Config: bad level \"snapshot:600,5\": expected snapshot:PERIOD_S,COST_S,RECOVERY_S,SURVIVAL";
+  fails "unknown tag" "disk:1,2" "Config: unknown level tag in \"disk:1,2\"";
+  fails "not numbers" "a,b" "Config: bad level \"a,b\": expected CAP_GB,BW_GBS[,FLUSH_GBS[,SURVIVAL]]"
+
+(* ------------------------------------------------------------------ *)
+(* End-to-end: flush bandwidth sweep                                    *)
 (* ------------------------------------------------------------------ *)
 
 let tiny_platform ?(bandwidth = 1.0) ?(mtbf_years = 0.05) () =
@@ -470,74 +571,6 @@ let tiny_platform ?(bandwidth = 1.0) ?(mtbf_years = 0.05) () =
 let tiny_class =
   App_class.make ~name:"toy" ~workload_pct:100.0 ~walltime_s:(Units.hours 2.0) ~nodes:16
     ~input_pct:10.0 ~output_pct:10.0 ~ckpt_pct:50.0 ()
-
-let check_same_run ctx (a : Simulator.result) (b : Simulator.result) =
-  let ci what x y = checki (ctx ^ ": " ^ what) x y in
-  ci "events" a.Simulator.events b.Simulator.events;
-  ci "ckpts committed" a.ckpts_committed b.Simulator.ckpts_committed;
-  ci "ckpts aborted" a.ckpts_aborted b.Simulator.ckpts_aborted;
-  ci "restarts" a.restarts b.Simulator.restarts;
-  ci "absorbed" a.bb_absorbed b.Simulator.bb_absorbed;
-  ci "spilled" a.bb_spilled b.Simulator.bb_spilled;
-  ci "jobs completed" a.jobs_completed b.Simulator.jobs_completed;
-  ci "failures hitting jobs" a.failures_hitting_jobs b.Simulator.failures_hitting_jobs;
-  let cf what x y =
-    checkb
-      (Printf.sprintf "%s: %s (%.17g vs %.17g)" ctx what x y)
-      true
-      (Numerics.fequal ~eps:1e-9 x y)
-  in
-  cf "progress" a.progress_ns b.Simulator.progress_ns;
-  cf "waste" a.waste_ns b.Simulator.waste_ns;
-  cf "enrolled" a.enrolled_ns b.Simulator.enrolled_ns;
-  List.iter2
-    (fun (k1, v1) (k2, v2) ->
-      if k1 <> k2 then Alcotest.failf "%s: waste kind order differs" ctx;
-      cf (Metrics.kind_name k1) v1 v2)
-    a.by_kind b.Simulator.by_kind
-
-(* A single buffer level with serialized flushes IS the legacy burst
-   buffer: both configs must produce the same event stream and metrics
-   (the PR's acceptance oracle). *)
-let test_single_buffer_matches_burst_buffer () =
-  let capacity = 30.0 and bw = 10.0 in
-  let bb_equiv =
-    {
-      Config.levels =
-        [
-          Config.Buffer
-            {
-              Config.bl_capacity_gb = capacity;
-              bl_bandwidth_gbs = bw;
-              bl_flush_gbs = None;
-              bl_survival = 1.0;
-            };
-        ];
-    }
-  in
-  List.iter
-    (fun (name, strategy, seed) ->
-      let mk ?burst_buffer ?multilevel () =
-        Config.make ~platform:(tiny_platform ()) ~classes:[ tiny_class ] ~strategy ~seed
-          ~days:1.0 ~with_failures:true ?burst_buffer ?multilevel ()
-      in
-      let a =
-        Simulator.run
-          (mk ~burst_buffer:{ Burst_buffer.capacity_gb = capacity; bandwidth_gbs = bw } ())
-      in
-      let b = Simulator.run (mk ~multilevel:bb_equiv ()) in
-      checkb (name ^ ": buffer actually used") true (a.Simulator.bb_absorbed > 0);
-      check_same_run name a b)
-    [
-      ("oblivious/1", Strategy.Oblivious (Strategy.Fixed 600.0), 1);
-      ("oblivious/2", Strategy.Oblivious (Strategy.Fixed 600.0), 2);
-      ("ordered_nb/3", Strategy.Ordered_nb (Strategy.Fixed 600.0), 3);
-      ("least_waste/4", Strategy.Least_waste, 4);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* End-to-end: flush bandwidth sweep                                    *)
-(* ------------------------------------------------------------------ *)
 
 let test_flush_bandwidth_relieves_pressure () =
   (* A scarce PFS and a small buffer: a starved flush edge clogs the
@@ -606,12 +639,18 @@ let () =
             test_hier_dedicated_edge_concurrent_flushes;
           Alcotest.test_case "failure survival threshold" `Quick
             test_hier_failure_survival_threshold;
+          Alcotest.test_case "recovery from a flushing copy" `Quick
+            test_hier_recovery_while_flushing;
+          Alcotest.test_case "drains serialize" `Quick
+            test_hier_serialized_drains;
+          Alcotest.test_case "read needs a live copy" `Quick
+            test_hier_read_requires_live_copy;
           QCheck_alcotest.to_alcotest test_hier_capacity_invariant;
         ] );
-      ( "differential",
+      ( "cli-syntax",
         [
-          Alcotest.test_case "single buffer = burst buffer" `Quick
-            test_single_buffer_matches_burst_buffer;
+          QCheck_alcotest.to_alcotest test_cli_syntax_roundtrip;
+          Alcotest.test_case "examples and errors" `Quick test_cli_syntax_cases;
         ] );
       ( "flush-sweep",
         [

@@ -433,8 +433,8 @@ let strategy_of_index i =
   List.nth (Strategy.Baseline :: Strategy.paper_seven) (i mod 8)
 
 let test_random_scenario_invariants =
-  (* Random toy scenarios across all strategies, with and without burst
-     buffers and two-level checkpointing: every run must conserve
+  (* Random toy scenarios across all strategies, with and without a
+     snapshot level and a buffer level: every run must conserve
      node-seconds, report non-negative buckets, and replay identically. *)
   QCheck.Test.make ~name:"random_scenarios_conserve_and_replay" ~count:40
     QCheck.(
@@ -450,21 +450,17 @@ let test_random_scenario_invariants =
         App_class.make ~name:"fuzz" ~workload_pct:100.0 ~walltime_s:(Units.hours 1.5)
           ~nodes:12 ~input_pct:5.0 ~output_pct:15.0 ~ckpt_pct:40.0 ()
       in
-      let burst_buffer =
-        if with_bb then
-          Some { Cocheck_sim.Burst_buffer.capacity_gb = 30.0; bandwidth_gbs = 10.0 }
-        else None
+      let levels =
+        (if with_ml then
+           (Config.local_level ~period_s:300.0 ~cost_s:2.0 ~recovery_s:4.0
+              ~soft_fraction:0.5)
+             .Config.levels
+         else [])
+        @ if with_bb then [ Config.buffer ~capacity_gb:30.0 ~bandwidth_gbs:10.0 () ] else []
       in
-      let multilevel =
-        if with_ml then
-          Some
-            (Config.local_level ~period_s:300.0 ~cost_s:2.0 ~recovery_s:4.0
-               ~soft_fraction:0.5)
-        else None
-      in
+      let multilevel = if levels = [] then None else Some { Config.levels } in
       let cfg =
-        Config.make ~platform ~classes:[ klass ] ~strategy ~seed ~days:0.5
-          ?burst_buffer ?multilevel ()
+        Config.make ~platform ~classes:[ klass ] ~strategy ~seed ~days:0.5 ?multilevel ()
       in
       let a = Simulator.run cfg in
       let b = Simulator.run cfg in
