@@ -323,6 +323,28 @@ let micro_tests () =
              ()
            done))
   in
+  (* Every key of the 490-point warm Fig 1-shaped query (7 bandwidths ×
+     7 strategies × 10 reps), as Runner.run derives them: templates once,
+     then one splice-and-hash per point. *)
+  let campaign_keys =
+    let spec =
+      E.Spec.make ~name:"fig1-warm" ~platform:(Platform.cielo ~node_mtbf_years:2.0 ())
+        ~strategies:Strategy.paper_seven
+        ~axis:(E.Spec.Bandwidth_gbs E.Fig1.default_bandwidths_gbs) ~reps:10 ~seed:3
+        ~days:2.5 ()
+    in
+    let n_c = List.length (E.Spec.cells spec) and n_s = List.length spec.E.Spec.strategies in
+    Test.make ~name:"campaign-keys-fig1-490"
+      (Staged.stage (fun () ->
+           let keys = E.Spec.keys spec in
+           for cell = 0 to n_c - 1 do
+             for strategy = 0 to n_s - 1 do
+               for rep = 0 to spec.E.Spec.reps - 1 do
+                 ignore (E.Spec.key keys ~cell ~strategy ~rep)
+               done
+             done
+           done))
+  in
   (* Second list: benches that need the 3× quota and raised sample limit to
      produce a trustworthy OLS fit — either because a single iteration is so
      long the default quota yields a handful of samples (jobgen-62days has
@@ -338,6 +360,7 @@ let micro_tests () =
       io_rebalance 128;
       arbiter_lw 128;
       arbiter_lw 1024;
+      campaign_keys;
     ],
     [ jobgen; io_rebalance 1024; io_rebalance 16; arbiter_lw 16 ] )
 
@@ -379,6 +402,28 @@ let run_campaign_resume pool e2e =
       e2e "campaign-resume-warm-64" (fun () ->
           let o = E.Runner.run ~pool ~store spec in
           assert (o.E.Runner.simulated = 0 && o.E.Runner.baselines = 0)))
+
+(* Heap bytes the store's index holds per entry: 20 000 records added to
+   a default-capacity store, its reachable words over a fresh store's.
+   Reported in the end-to-end section, as a size, not a time. *)
+let store_index_bytes_per_entry () =
+  let n = 20_000 in
+  let dir = Filename.temp_file "cocheck-bench-index" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+    (fun () ->
+      let store = E.Store.open_ dir in
+      let fresh = Obj.reachable_words (Obj.repr store) in
+      for i = 0 to n - 1 do
+        let key = Digest.to_hex (Digest.string (string_of_int i)) in
+        E.Store.add store ~key ~ratio:0.25
+          (Cocheck_obs.Json.Obj [ ("waste_ratio", Cocheck_obs.Json.Float 0.25) ])
+      done;
+      let words = Obj.reachable_words (Obj.repr store) - fresh in
+      let bytes = float_of_int (words * (Sys.word_size / 8)) /. float_of_int n in
+      e2e_wall := ("store-index-bytes-per-entry", bytes) :: !e2e_wall;
+      Printf.printf "  %-40s %12.1f B (%d entries)\n" "store-index-bytes-per-entry" bytes n)
 
 (* The campaign service under concurrent clients: N simultaneous
    connections each running its own single-cell campaign, cold first
@@ -557,7 +602,8 @@ let run_micro pool =
           ~multilevel ()
       in
       ignore (Simulator.run cfg));
-  run_campaign_resume pool e2e
+  run_campaign_resume pool e2e;
+  store_index_bytes_per_entry ()
 
 (* Zero-cost-when-off contract of the tracing layer: driving the simulator
    through the fully instrumented path with the disabled tracer must give a

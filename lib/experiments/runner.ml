@@ -125,7 +125,7 @@ let progress_of_json j =
    lookup. Every field is a pure function of (spec, cell, strategy, rep),
    so records are deterministic: racing writers of one key produce
    byte-identical files (the property {!Store.add} relies on). *)
-let write_record ~store ~spec ~cell ~strategy ~rep ~key ratio =
+let write_record ~store ~spec ~spec_digest ~cell ~strategy ~rep ~key ratio =
   let json =
     Json.Obj
       [
@@ -133,7 +133,7 @@ let write_record ~store ~spec ~cell ~strategy ~rep ~key ratio =
         ("version", Json.Int 1);
         ("key", Json.String key);
         ("campaign", Json.String spec.Spec.name);
-        ("spec_digest", Json.String (Spec.digest spec));
+        ("spec_digest", Json.String spec_digest);
         ( "x",
           match cell.Spec.x with None -> Json.Null | Some x -> Json.Float x );
         ("strategy", Json.String (Strategy.name strategy));
@@ -187,19 +187,24 @@ let run ~pool ?store ?tenant ?(tracer = Tracing.disabled) ?on_progress spec =
         in
         Fun.protect ~finally:(fun () -> Mutex.unlock progress_mutex) (fun () -> f ev)
   in
+  (* Keys name store records and nothing else, so a run without a store
+     derives none. With one, the key templates and the spec digest are
+     built here, once, and only read by the workers. *)
+  let stored =
+    Option.map (fun store -> (store, Spec.keys spec, Spec.digest spec)) store
+  in
   (* One task per (cell, replication): the baseline run and the job specs
      are shared by every strategy of the replication, exactly as in the
      paper's protocol. *)
   let task idx =
     let ci = idx / reps in
     let cell = cells.(ci) and rep = idx mod reps in
-    let keys =
-      Array.map (fun strategy -> Spec.cell_key spec ~cell ~strategy ~rep) strategies
-    in
-    let cached =
-      match store with
-      | None -> Array.make n_s None
-      | Some store -> Array.map (Store.find store) keys
+    let keys, cached =
+      match stored with
+      | None -> ([||], Array.make n_s None)
+      | Some (store, templates, _) ->
+          let keys = Array.init n_s (fun si -> Spec.key templates ~cell:ci ~strategy:si ~rep) in
+          (keys, Array.map (Store.find store) keys)
     in
     let hits = Array.fold_left (fun n c -> if c = None then n else n + 1) 0 cached in
     if hits > 0 then ignore (Atomic.fetch_and_add loaded hits);
@@ -248,9 +253,10 @@ let run ~pool ?store ?tenant ?(tracer = Tracing.disabled) ?on_progress spec =
                   let ratio = Simulator.waste_ratio ~strategy:r ~baseline in
                   Atomic.incr simulated;
                   Option.iter
-                    (fun store ->
-                      write_record ~store ~spec ~cell ~strategy ~rep ~key:keys.(i) ratio)
-                    store;
+                    (fun (store, _, spec_digest) ->
+                      write_record ~store ~spec ~spec_digest ~cell ~strategy ~rep
+                        ~key:keys.(i) ratio)
+                    stored;
                   emit_point ~ci ~x:cell.Spec.x ~rep ~strategy ~source:`Simulated;
                   ratio)
             strategies
@@ -296,24 +302,23 @@ let run ~pool ?store ?tenant ?(tracer = Tracing.disabled) ?on_progress spec =
 
 let status ?store spec =
   Spec.validate spec;
-  let cells = Spec.cells spec in
-  let total = List.length cells * List.length spec.Spec.strategies * spec.Spec.reps in
+  let n_c = List.length (Spec.cells spec) and n_s = List.length spec.Spec.strategies in
+  let reps = spec.Spec.reps in
+  let total = n_c * n_s * reps in
   let cached =
     match store with
     | None -> 0
     | Some store ->
-        List.fold_left
-          (fun acc cell ->
-            List.fold_left
-              (fun acc strategy ->
-                let hits = ref 0 in
-                for rep = 0 to spec.Spec.reps - 1 do
-                  let key = Spec.cell_key spec ~cell ~strategy ~rep in
-                  if Store.contains store key then incr hits
-                done;
-                acc + !hits)
-              acc spec.Spec.strategies)
-          0 cells
+        let keys = Spec.keys spec in
+        let hits = ref 0 in
+        for cell = 0 to n_c - 1 do
+          for strategy = 0 to n_s - 1 do
+            for rep = 0 to reps - 1 do
+              if Store.contains store (Spec.key keys ~cell ~strategy ~rep) then incr hits
+            done
+          done
+        done;
+        !hits
   in
   { total; cached; missing = total - cached }
 

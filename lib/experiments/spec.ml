@@ -328,19 +328,109 @@ let load ~path =
 (* Digests                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let hex_digest json = Digest.to_hex (Digest.string (Json.to_string json))
+let digest t = Digest.to_hex (Digest.string (Json.to_string (to_json t)))
 
-let digest t = hex_digest (to_json t)
+(* A point's key is the MD5 of the compact JSON
+     {"schema":"cocheck.cell/1","config":<Config.t>,"strategy":<encoding>}
+   of its exact Config.t — the complete set of result-determining fields —
+   plus the structural strategy encoding (Config serializes the strategy
+   by display name, which collapses nearby Fixed periods).
 
-(* The key is derived from the exact Config.t of the point — the complete
-   set of result-determining fields — plus the structural strategy
-   encoding (Config serializes the strategy by display name, which
-   collapses nearby Fixed periods). *)
-let cell_key t ~cell ~strategy ~rep =
-  hex_digest
-    (Json.Obj
+   Keys are staged. Within a cell only four values of that text vary: the
+   display name, the seed and [with_failures] inside the config, and the
+   structural encoding. The rest — platform, classes, segment, failure
+   law, alpha, hierarchy — is rendered once per cell into literal runs cut
+   at those four holes; each strategy renders its three values once; a
+   key then splices [string_of_int seed] in and hashes. The literal runs
+   come from the very Json values [Manifest.config_to_json] builds,
+   written by the same rules as [Json.to_buffer], so the spliced text is
+   byte-identical to rendering the whole object. *)
+type hole = Name | Seed | With_failures | Encoding
+
+(* A cell's key text: each literal run followed by the hole after it,
+   then the literal tail. *)
+type template = { cuts : (string * hole) list; last : string }
+
+type splice = { display : string; failures : string; encoding : string }
+
+type part = Value of Json.t | Hole of hole | Fields of (string * part) list
+
+let render part =
+  let buf = Buffer.create 2048 in
+  let cuts = ref [] in
+  let rec go = function
+    | Value j -> Json.to_buffer buf j
+    | Hole h ->
+        cuts := (Buffer.contents buf, h) :: !cuts;
+        Buffer.clear buf
+    | Fields fields ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, p) ->
+            if i > 0 then Buffer.add_char buf ',';
+            Buffer.add_string buf (Json.escape_string k);
+            Buffer.add_char buf ':';
+            go p)
+          fields;
+        Buffer.add_char buf '}'
+  in
+  go part;
+  { cuts = List.rev !cuts; last = Buffer.contents buf }
+
+(* The strategy and seed given to [config] here only fill the holes. *)
+let template t cell =
+  let cfg = config t ~cell ~strategy:Strategy.Least_waste ~rep:0 in
+  let config_fields =
+    match Manifest.config_to_json cfg with
+    | Json.Obj fields ->
+        List.map
+          (fun (k, v) ->
+            ( k,
+              match k with
+              | "strategy" -> Hole Name
+              | "seed" -> Hole Seed
+              | "with_failures" -> Hole With_failures
+              | _ -> Value v ))
+          fields
+    | _ -> assert false
+  in
+  render
+    (Fields
        [
-         ("schema", Json.String "cocheck.cell/1");
-         ("config", Manifest.config_to_json (config t ~cell ~strategy ~rep));
-         ("strategy", strategy_to_json strategy);
+         ("schema", Value (Json.String "cocheck.cell/1"));
+         ("config", Fields config_fields);
+         ("strategy", Hole Encoding);
        ])
+
+(* [with_failures] flips for the baseline exactly as in [Config.make]. *)
+let splice strategy =
+  {
+    display = Json.to_string (Json.String (Manifest.strategy_to_string strategy));
+    failures = Json.to_string (Json.Bool (strategy <> Strategy.Baseline));
+    encoding = Json.to_string (strategy_to_json strategy);
+  }
+
+let compose tpl sp ~seed =
+  let value = function
+    | Name -> sp.display
+    | Seed -> string_of_int seed
+    | With_failures -> sp.failures
+    | Encoding -> sp.encoding
+  in
+  let text = List.concat_map (fun (lit, h) -> [ lit; value h ]) tpl.cuts @ [ tpl.last ] in
+  Digest.to_hex (Digest.string (String.concat "" text))
+
+type keys = { root_seed : int; templates : template array; splices : splice array }
+
+let keys (t : t) =
+  {
+    root_seed = t.seed;
+    templates = Array.of_list (List.map (template t) (cells t));
+    splices = Array.of_list (List.map splice t.strategies);
+  }
+
+let key k ~cell ~strategy ~rep =
+  compose k.templates.(cell) k.splices.(strategy) ~seed:(rep_seed ~seed:k.root_seed ~rep)
+
+let cell_key (t : t) ~cell ~strategy ~rep =
+  compose (template t cell) (splice strategy) ~seed:(rep_seed ~seed:t.seed ~rep)

@@ -120,4 +120,22 @@ val cell_key :
     changing any of them gives a new key, while result-neutral spec edits
     (renaming the campaign, growing [reps] or the axis, adding strategies)
     leave existing keys valid. That is what makes the results store
-    shareable between campaigns and extendable in place. *)
+    shareable between campaigns and extendable in place.
+
+    This is the one-point case of {!keys}: it renders the cell's key
+    template and splices one strategy and seed into it. *)
+
+type keys
+(** The keys of every point of one spec, staged. Each cell's
+    point-invariant serialization (platform, classes, segment, failure
+    law, alpha, hierarchy) is rendered once, each strategy's display name,
+    [with_failures] flag and structural encoding once; a key then splices
+    in the replication's seed and hashes. Immutable once built, so pool
+    workers may share one value. *)
+
+val keys : t -> keys
+
+val key : keys -> cell:int -> strategy:int -> rep:int -> string
+(** [key (keys t) ~cell:c ~strategy:s ~rep] is byte-identical to
+    [cell_key t ~cell ~strategy ~rep] for the [c]-th element of
+    [cells t] and the [s]-th of [t.strategies]. *)

@@ -8,16 +8,24 @@
     fan-out at any store size, and a lookup is one path probe — no
     directory listing. Stores written by the flat pre-shard layout
     ([store/<key>.json]) are migrated on open (rename into shards;
-    records a racing opener already moved are skipped), and unmigrated
-    flat records still hit via a fallback probe, so an old store is
-    usable mid-migration.
+    records a racing opener already moved, and files not named by a
+    key, are skipped), and unmigrated flat records still hit via a
+    fallback probe, so an old store is usable mid-migration.
+
+    {b Keys.} A key is a {!Spec.cell_key} digest: 32 lowercase hex
+    characters. Anything else names no record: {!find} and {!contains}
+    read it as a miss without touching the disk, and {!add} refuses it.
 
     {b Index.} Loaded ratios are cached in a bounded in-memory index with
     FIFO eviction (insertion-order ring). Campaign queries read each key
     once, so recency tracking buys nothing over insertion order; repeated
-    warm queries stay fully indexed up to [capacity]. The index is an
-    optimisation only — an evicted or never-loaded key falls back to its
-    record file.
+    warm queries stay fully indexed up to [capacity]. The index keeps one
+    slot per ring position in pointer-free arrays — the raw 16-byte
+    digest, the ratio, and an open-addressing table — 35 to 44 bytes per
+    entry. The arrays grow by a quarter at a time up to [capacity], so a
+    fresh store holds no index memory whatever its capacity. The index is
+    an optimisation only — an evicted or never-loaded key falls back to
+    its record file.
 
     {b Writes.} Atomic temp + rename, with process-unique temp names
     (pid + counter): concurrent clients querying the same spec race on
@@ -36,14 +44,17 @@ val dir : t -> string
 
 val find : t -> string -> float option
 (** The cached waste ratio under a key: from the index, else from the
-    record file (indexing it), else [None]. Malformed records are
-    misses. Thread-safe; file reads happen outside the store lock. *)
+    record file (indexing it), else [None]. Malformed records and
+    malformed keys are misses. Thread-safe; file reads happen outside the
+    store lock. *)
 
 val contains : t -> string -> bool
-(** Whether a record exists (index or disk), without reading it. *)
+(** Whether a record exists (index or disk), without reading it; [false]
+    for a malformed key. *)
 
 val add : t -> key:string -> ratio:float -> Cocheck_obs.Json.t -> unit
-(** Persist a record atomically under its shard and index its ratio. *)
+(** Persist a record atomically under its shard and index its ratio.
+    Raises [Invalid_argument] if [key] is not a 32-hex digest. *)
 
 val path_of_key : t -> string -> string
 (** The sharded record path of a key (exists or not). *)

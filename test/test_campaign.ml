@@ -51,6 +51,10 @@ let spec_gen =
           return Strategy.Daly;
           return Strategy.Optimal;
           map (fun p -> Strategy.Fixed p) (float_range 30.0 100_000.0);
+          (* any magnitude, full mantissa *)
+          map
+            (fun (m, e) -> Strategy.Fixed (ldexp m e))
+            (pair (float_range 0.5 1.0) (int_range (-30) 60));
         ]
     in
     let strategy =
@@ -61,6 +65,7 @@ let spec_gen =
           map (fun r -> Strategy.Ordered_nb r) rule;
           return Strategy.Least_waste;
           return Strategy.Greedy_exposure;
+          return Strategy.Baseline;
         ]
     in
     let platform =
@@ -87,7 +92,15 @@ let spec_gen =
             (list_size (int_range 1 4) (float_range 0.05 50.0));
           map (fun vs -> E.Spec.Bandwidth_gbs vs)
             (list_size (int_range 1 4) (float_range 0.5 500.0));
+          (* kept only when the hierarchy has a buffer level, see below *)
+          map (fun vs -> E.Spec.Flush_gbs vs)
+            (list_size (int_range 1 4) (float_range 0.5 500.0));
         ]
+    in
+    (* Seeds of either sign; replication seeds then cross zero and change
+       their digit count within a campaign. *)
+    let seed =
+      oneof [ int_range 0 1_000_000; int_range (-3_000_000) 0; int_range (-10) 10 ]
     in
     let failure_dist =
       oneof
@@ -123,9 +136,19 @@ let spec_gen =
               (list_size (int_range 0 2) snapshot_level)
               (list_size (int_range 0 2) buffer_level)))
     in
+    let has_buffer = function
+      | Some m ->
+          List.exists (function Config.Buffer _ -> true | _ -> false) m.Config.levels
+      | None -> false
+    in
     map
       (fun (((platform, classes), (strategies, axis)),
             (((reps, seed), days), ((failure_dist, alpha), multilevel))) ->
+        let axis =
+          match axis with
+          | E.Spec.Flush_gbs _ when not (has_buffer multilevel) -> E.Spec.No_sweep
+          | a -> a
+        in
         {
           E.Spec.name = "qc-campaign";
           platform;
@@ -144,7 +167,7 @@ let spec_gen =
             (pair platform (opt (list_size (int_range 1 2) app_class)))
             (pair (list_size (int_range 1 3) strategy) axis))
          (pair
-            (pair (pair (int_range 1 500) (int_range 0 1_000_000)) (float_range 0.1 100.0))
+            (pair (pair (int_range 1 500) seed) (float_range 0.1 100.0))
             (pair
                (pair failure_dist (opt (float_range 0.0 2.0)))
                multilevel))))
@@ -165,6 +188,47 @@ let test_spec_file_roundtrip_prop =
         (fun () ->
           E.Spec.save ~path s;
           E.Spec.load ~path = Ok s))
+
+(* Staged keys against the unstaged oracle: every (cell, strategy) of
+   the spec, at the first, second, middle and last replications and at
+   the replications where the seed changes sign or digit count. *)
+let test_keys_match_reference_prop =
+  QCheck.Test.make ~name:"staged keys = reference composition" ~count:200 arb_spec
+    (fun s ->
+      let reps = s.E.Spec.reps in
+      let digits rep =
+        String.length (string_of_int (E.Spec.rep_seed ~seed:s.E.Spec.seed ~rep))
+      in
+      let boundaries =
+        List.filter
+          (fun rep -> rep > 0 && digits rep <> digits (rep - 1))
+          (List.init reps Fun.id)
+      in
+      let check_reps =
+        List.sort_uniq compare ([ 0; min 1 (reps - 1); reps / 2; reps - 1 ] @ boundaries)
+      in
+      let indexed l = List.mapi (fun i x -> (i, x)) l in
+      let point_ok keys (ci, cell) (si, strategy) rep =
+        let reference = Cell_key_reference.cell_key s ~cell ~strategy ~rep in
+        E.Spec.key keys ~cell:ci ~strategy:si ~rep = reference
+        && E.Spec.cell_key s ~cell ~strategy ~rep = reference
+      in
+      let outcome f = match f () with k -> Ok k | exception Invalid_argument e -> Error e in
+      match outcome (fun () -> E.Spec.keys s) with
+      | Ok keys ->
+          List.for_all
+            (fun cell ->
+              List.for_all
+                (fun strategy -> List.for_all (point_ok keys cell strategy) check_reps)
+                (indexed s.E.Spec.strategies))
+            (indexed (E.Spec.cells s))
+      | Error e ->
+          (* A point Config.make refuses (an empty hierarchy) is refused
+             alike by both paths. *)
+          outcome (fun () ->
+              Cell_key_reference.cell_key s ~cell:(List.hd (E.Spec.cells s))
+                ~strategy:(List.hd s.E.Spec.strategies) ~rep:0)
+          = Error e)
 
 let test_spec_name_strings_accepted () =
   (* Hand-written specs may give strategies by paper name. *)
@@ -783,7 +847,8 @@ let () =
             Alcotest.test_case "validation" `Quick test_spec_validate;
           ] );
       ( "digest",
-        [
+        qsuite [ test_keys_match_reference_prop ]
+        @ [
           Alcotest.test_case "deterministic" `Quick test_digest_deterministic;
           Alcotest.test_case "sensitive to result fields" `Quick
             test_key_changes_with_result_fields;

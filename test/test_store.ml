@@ -1,7 +1,8 @@
 (* Tests for the sharded results store: concurrent writers racing on the
    same keys, corrupt/truncated records demoting to a miss under a live
    reader, migration from the flat pre-shard layout, index eviction
-   bounds, and orphan-tmp compaction. *)
+   bounds, orphan-tmp compaction, the compact index against a Hashtbl +
+   FIFO model, digest-only keys, and index memory per entry. *)
 
 module Json = Cocheck_obs.Json
 module E = Cocheck_experiments
@@ -189,6 +190,191 @@ let test_compact_removes_orphans () =
       Alcotest.(check int) "records survive compaction" 2 (E.Store.record_count store);
       Alcotest.(check int) "second sweep finds nothing" 0 (E.Store.compact store))
 
+(* ------------------------------------------------------------------ *)
+(* Index: model check, digest-only keys, memory                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The index model: a Hashtbl of indexed ratios plus an explicit FIFO ring
+   of [capacity] key slots, over a Hashtbl standing for the record files. *)
+type model = {
+  m_cap : int;
+  disk : (string, float) Hashtbl.t;
+  index : (string, float) Hashtbl.t;
+  ring : string option array;
+  mutable pos : int;
+  mutable m_hits : int;
+  mutable m_misses : int;
+  mutable m_loads : int;
+  mutable m_evictions : int;
+}
+
+let model cap =
+  {
+    m_cap = cap;
+    disk = Hashtbl.create 16;
+    index = Hashtbl.create 16;
+    ring = Array.make cap None;
+    pos = 0;
+    m_hits = 0;
+    m_misses = 0;
+    m_loads = 0;
+    m_evictions = 0;
+  }
+
+let model_remember m key ratio =
+  if not (Hashtbl.mem m.index key) then begin
+    Option.iter
+      (fun old ->
+        Hashtbl.remove m.index old;
+        m.m_evictions <- m.m_evictions + 1)
+      m.ring.(m.pos);
+    m.ring.(m.pos) <- Some key;
+    m.pos <- (m.pos + 1) mod m.m_cap
+  end;
+  Hashtbl.replace m.index key ratio
+
+let model_find m key =
+  match Hashtbl.find_opt m.index key with
+  | Some r ->
+      m.m_hits <- m.m_hits + 1;
+      Some r
+  | None -> (
+      match Hashtbl.find_opt m.disk key with
+      | Some r ->
+          m.m_loads <- m.m_loads + 1;
+          model_remember m key r;
+          Some r
+      | None ->
+          m.m_misses <- m.m_misses + 1;
+          None)
+
+type op = Add of int * float | Find of int
+
+(* Keys whose hash home — set by the top of their first 31 digest bits,
+   i.e. by the fourth byte — comes from a small set including both ends
+   of every table, so probe runs collide, interleave and wrap around. *)
+let model_key k =
+  let d = Digest.to_hex (Digest.string (string_of_int k)) in
+  let high = [| 0x00; 0x01; 0x3f; 0x40; 0x7e; 0x7f; 0xff |] in
+  String.sub d 0 6 ^ Printf.sprintf "%02x" high.(k mod Array.length high) ^ String.sub d 8 24
+
+(* Capacities 1, 4, at and around the first growth steps of the slot
+   arrays (16, 20, 25, 31, 38, ...), and anywhere up to 130; op sequences
+   long enough to fill, wrap and re-load. *)
+let arb_index_case =
+  let open QCheck.Gen in
+  let case =
+    oneof [ oneofl [ 1; 4; 15; 16; 17; 20; 21; 25; 31; 38; 63; 64; 65 ]; int_range 1 130 ]
+    >>= fun cap ->
+    let keys = (2 * cap) + 3 in
+    let op =
+      frequency
+        [
+          (3, map2 (fun k r -> Add (k, r)) (int_bound (keys - 1)) (float_range 0.0 1.0));
+          (2, map (fun k -> Find k) (int_bound keys));
+        ]
+    in
+    map (fun ops -> (cap, ops)) (list_size (int_range 0 ((4 * cap) + 40)) op)
+  in
+  let print (cap, ops) =
+    Printf.sprintf "capacity %d: %s" cap
+      (String.concat "; "
+         (List.map
+            (function
+              | Add (k, r) -> Printf.sprintf "add %d %g" k r
+              | Find k -> Printf.sprintf "find %d" k)
+            ops))
+  in
+  QCheck.make ~print case
+
+let test_index_matches_model =
+  QCheck.Test.make ~name:"index = Hashtbl + FIFO model" ~count:60 arb_index_case
+    (fun (cap, ops) ->
+      with_temp_dir (fun dir ->
+          let store = E.Store.open_ ~capacity:cap dir in
+          let m = model cap in
+          let agrees () =
+            let st = E.Store.stats store in
+            E.Store.indexed store = Hashtbl.length m.index
+            && st.E.Store.hits = m.m_hits
+            && st.E.Store.misses = m.m_misses
+            && st.E.Store.loads = m.m_loads
+            && st.E.Store.evictions = m.m_evictions
+          in
+          List.for_all
+            (fun op ->
+              match op with
+              | Add (k, r) ->
+                  let key = model_key k in
+                  E.Store.add store ~key ~ratio:r (record ~key r);
+                  Hashtbl.replace m.disk key r;
+                  model_remember m key r;
+                  agrees ()
+              | Find k ->
+                  let key = model_key k in
+                  E.Store.find store key = model_find m key && agrees ())
+            ops))
+
+let test_overwrite_takes_no_slot () =
+  with_temp_dir (fun dir ->
+      let store = E.Store.open_ ~capacity:4 dir in
+      for i = 0 to 3 do add store i done;
+      let key = key_of 2 in
+      E.Store.add store ~key ~ratio:0.5 (record ~key 0.5);
+      Alcotest.(check int) "still four entries" 4 (E.Store.indexed store);
+      Alcotest.(check int) "nothing evicted" 0 (E.Store.stats store).E.Store.evictions;
+      Alcotest.(check (option (float 0.0))) "overwritten in place" (Some 0.5)
+        (E.Store.find store key);
+      for i = 0 to 3 do
+        if i <> 2 then
+          Alcotest.(check (option (float 0.0))) "others kept" (Some (ratio_of i))
+            (E.Store.find store (key_of i))
+      done;
+      Alcotest.(check int) "every find an index hit" 4 (E.Store.stats store).E.Store.hits)
+
+let test_malformed_keys () =
+  with_temp_dir (fun dir ->
+      let store = E.Store.open_ dir in
+      add store 1;
+      let bad = [ ""; "ab"; String.uppercase_ascii (key_of 1); key_of 1 ^ "0"; "../" ^ key_of 1 ] in
+      List.iter
+        (fun key ->
+          Alcotest.(check (option (float 0.0))) ("find misses " ^ key) None
+            (E.Store.find store key);
+          Alcotest.(check bool) ("contains misses " ^ key) false (E.Store.contains store key);
+          Alcotest.check_raises ("add refuses " ^ key)
+            (Invalid_argument "Store.add: key is not a 32-hex digest") (fun () ->
+              E.Store.add store ~key ~ratio:0.1 (record ~key 0.1)))
+        bad;
+      Alcotest.(check int) "each bad find counted a miss" (List.length bad)
+        (E.Store.stats store).E.Store.misses;
+      Alcotest.(check int) "nothing written" 1 (E.Store.record_count store))
+
+(* Bytes the index holds per entry, measured on the store's whole heap
+   footprint over that of a fresh store: ≤ 48 B, even just past a growth
+   step (1036 entries in 1293 slots) — the string-keyed Hashtbl and ring
+   it replaced held ~85 B at 20 000 entries. *)
+let bytes_per_entry ~capacity n =
+  with_temp_dir (fun dir ->
+      let store = E.Store.open_ ~capacity dir in
+      let fresh = Obj.reachable_words (Obj.repr store) in
+      for i = 0 to n - 1 do add store i done;
+      Alcotest.(check int) "all indexed" n (E.Store.indexed store);
+      let words = Obj.reachable_words (Obj.repr store) - fresh in
+      float_of_int (words * (Sys.word_size / 8)) /. float_of_int n)
+
+let test_index_memory () =
+  List.iter
+    (fun (capacity, n) ->
+      let b = bytes_per_entry ~capacity n in
+      if b > 48.0 then
+        Alcotest.failf "capacity %d, %d entries: %.1f B per entry > 48 B" capacity n b)
+    [ (65_536, 1036); (1000, 1000) ];
+  with_temp_dir (fun dir ->
+      let words capacity = Obj.reachable_words (Obj.repr (E.Store.open_ ~capacity dir)) in
+      Alcotest.(check int) "fresh open costs the same at capacity 1 and 65536" (words 1)
+        (words 65_536))
+
 let () =
   Alcotest.run "store"
     [
@@ -202,5 +388,12 @@ let () =
           Alcotest.test_case "index eviction bounds" `Quick test_eviction_bounds;
           Alcotest.test_case "compact removes orphan temps" `Quick
             test_compact_removes_orphans;
+        ] );
+      ( "index",
+        [
+          QCheck_alcotest.to_alcotest ~long:false test_index_matches_model;
+          Alcotest.test_case "overwrite takes no slot" `Quick test_overwrite_takes_no_slot;
+          Alcotest.test_case "malformed keys" `Quick test_malformed_keys;
+          Alcotest.test_case "memory per entry" `Quick test_index_memory;
         ] );
     ]
